@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .rational import Rational
 from .structmat import ExactMatrix, vieta_det_closed
-from .sympoly import DensePolynomial, NodeSet, leave_one_out_table, monic_from_roots
+from .sympoly import DensePolynomial, NodeSet, leave_one_out_table
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,16 @@ class NodalBasis:
 
 
 def nodal_basis(ns: NodeSet) -> NodalBasis:
-    """Monic leave-one-out polynomials of the nodes.
+    """Monic leave-one-out polynomials of the nodes, read off the table.
 
-    For a single node the basis is the constant polynomial 1 (empty
-    product).  The coefficient of x^{n-1-k} in polys[j] equals (-1)^k
-    times entry (k, j) of the leave-one-out table.
+    The coefficient of x^{n-1-k} in polys[j] is (-1)^k times entry
+    (k, j) of `leave_one_out_table`, so the basis costs one O(n^2) table
+    and a sign flip per entry.  For a single node the basis is the
+    constant polynomial 1 (empty product).
     """
-    return NodalBasis(tuple(monic_from_roots(ns.without(j)) for j in range(len(ns))))
+    signed = [[-e if k % 2 else e for e in row] for k, row in enumerate(leave_one_out_table(ns).entries)]
+    signed.reverse()
+    return NodalBasis(tuple(DensePolynomial(column) for column in zip(*signed)))
 
 
 def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
@@ -62,15 +66,41 @@ def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
 
 
 def wronskian_matrix(basis: NodalBasis, x0: Rational) -> ExactMatrix:
-    """Matrix with entry (r, j) = r-th derivative of polys[j] at x0."""
+    """Matrix with entry (r, j) = r-th derivative of polys[j] at x0.
+
+    Works for any polynomial family, of any degree.  Column j comes from
+    one integer Taylor shift of polys[j] by x0 = u / v: with D the
+    common coefficient denominator and d the degree, the integer
+    polynomial G(y) = D v^d p(y / v) is shifted to G(u + s) by Horner
+    steps (von zur Gathen & Gerhard, ISSAC 1997), whose coefficient h_r
+    gives p^(r)(x0) = r! h_r / (D v^(d-r)), reduced once.  O(d^2)
+    integer steps per column.
+    """
     n = len(basis)
-    rows = []
-    current = list(basis.polys)
-    for r in range(n):
-        rows.append(tuple(p(x0) for p in current))
-        if r < n - 1:
-            current = [p.derivative() for p in current]
-    return ExactMatrix(tuple(rows))
+    x0 = Fraction(x0)
+    columns = [_taylor_derivatives(p, x0.numerator, x0.denominator, n) for p in basis]
+    return ExactMatrix(tuple(zip(*columns)))
+
+
+def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> list[Rational]:
+    """[p(x0), p'(x0), ..., p^(count-1)(x0)] at x0 = u / v."""
+    coeffs = p.coefficients
+    d = len(coeffs) - 1
+    out = [Fraction(0)] * count
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    v_pow = [1]
+    for _ in range(d):
+        v_pow.append(v_pow[-1] * v)
+    g = [c.numerator * (denom // c.denominator) * v_pow[d - m] for m, c in enumerate(coeffs)]
+    if u:
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                g[k] += u * g[k + 1]
+    factorial = 1
+    for r in range(min(d + 1, count)):
+        out[r] = Fraction(factorial * g[r], denom * v_pow[d - r])
+        factorial *= r + 1
+    return out
 
 
 def wronskian_closed(ns: NodeSet) -> Rational:

@@ -2,12 +2,14 @@
 
 Commands: build, det (with wronskian/jacobian shorthands), verify, bench.
 Exit codes: 0 success or all checks passed, 1 verification failures,
-2 input error, 3 size-guard violation.
+2 input error (including an unreadable or unwritable path and a bad
+VIETA_LAPLACE_MAX), 3 size-guard violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from .calculus import (
     wronskian_closed,
     wronskian_matrix,
 )
-from .exactdet import LaplaceSizeError, det_bareiss, det_laplace
+from .exactdet import LAPLACE_MAX_ENV, LaplaceSizeError, det_bareiss, det_laplace
 from .matio import load_nodes_file, matrix_to_csv, matrix_to_json, parse_nodes_text
 from .rational import parse_rational, render_rational
 from .structmat import (
@@ -180,6 +182,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _check_laplace_env() -> None:
+    """Reject a VIETA_LAPLACE_MAX that is not an integer >= 1 as input."""
+    raw = os.environ.get(LAPLACE_MAX_ENV)
+    try:
+        valid = raw is None or int(raw) >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{LAPLACE_MAX_ENV} must be an integer >= 1, got {raw!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -188,11 +201,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad arguments, 0 for --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_laplace_env()
         return args.handler(args)
     except LaplaceSizeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -68,14 +68,21 @@ def build_vieta(ns: NodeSet) -> ExactMatrix:
 def vieta_det_closed(ns: NodeSet) -> Rational:
     """Closed-form determinant of `build_vieta`: prod_{i<k} (a_i - a_k).
 
-    The empty product (n = 1) is 1; any repeated node zeroes a factor.
+    With a_i = p_i / q_i, the integer cross differences
+    p_i q_k - p_k q_i are multiplied and reduced once against
+    (prod_i q_i)^(n-1).  The empty product (n = 1) is 1; any repeated
+    node zeroes a factor.
     """
     nodes = ns.nodes
-    det = Fraction(1)
-    for i in range(len(nodes)):
-        for k in range(i + 1, len(nodes)):
-            det *= nodes[i] - nodes[k]
-    return det
+    num, den = 1, 1
+    for i, a in enumerate(nodes):
+        p, q = a.numerator, a.denominator
+        den *= q
+        for b in nodes[i + 1:]:
+            num *= p * b.denominator - b.numerator * q
+        if not num:
+            return Fraction(0)
+    return Fraction(num, den ** (len(nodes) - 1))
 
 
 def build_vandermonde(ns: NodeSet) -> ExactMatrix:
@@ -88,13 +95,11 @@ def build_vandermonde(ns: NodeSet) -> ExactMatrix:
 
 
 def vandermonde_det_closed(ns: NodeSet) -> Rational:
-    """Closed-form determinant of `build_vandermonde`: prod_{k>i} (a_k - a_i)."""
-    nodes = ns.nodes
-    det = Fraction(1)
-    for i in range(len(nodes)):
-        for k in range(i + 1, len(nodes)):
-            det *= nodes[k] - nodes[i]
-    return det
+    """Closed-form determinant of `build_vandermonde`: prod_{k>i} (a_k - a_i),
+    which is (-1)^{n(n-1)/2} times `vieta_det_closed`."""
+    n = len(ns)
+    det = vieta_det_closed(ns)
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 def shift_nodes(ns: NodeSet, c: Rational) -> NodeSet:

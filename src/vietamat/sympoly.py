@@ -144,21 +144,31 @@ def elem_sym_all(ns: NodeSet) -> list[Rational]:
 def leave_one_out_table(ns: NodeSet) -> LeaveOneOutTable:
     """The e_k grid over every leave-one-out multiset of the nodes.
 
-    Column j is the coefficient convolution of prod_{i<j}(1 + a_i t) with
-    prod_{i>j}(1 + a_i t).  Division-free, so repeated or zero nodes need
-    no special casing.
+    Writing a_i = p_i / q_i, the integer coefficients of
+    prod_i (q_i + p_i t) are Q * e_k with Q = prod_i q_i.  Column j is
+    that product divided exactly by (q_j + p_j t): synthetic division in
+    integers, dividing only by q_j >= 1, so repeated or zero nodes need
+    no special casing.  Each entry is reduced once, as F / (Q / q_j).
+    O(n) integer steps per column, O(n^2) in all.
     """
     n = len(ns)
-    prefix = [[Fraction(1)]]
-    for a in ns.nodes[: n - 1]:
-        prefix.append(_times_one_plus_at(prefix[-1], a))
-    suffix = [[Fraction(1)]]
-    for a in reversed(ns.nodes[1:]):
-        suffix.append(_times_one_plus_at(suffix[-1], a))
-    suffix.reverse()
-    columns = [_convolve(prefix[j], suffix[j]) for j in range(n)]
-    entries = tuple(tuple(columns[j][k] for j in range(n)) for k in range(n))
-    return LeaveOneOutTable(entries)
+    full = [1]
+    for a in ns:
+        p, q = a.numerator, a.denominator
+        full.append(0)
+        for k in range(len(full) - 1, 0, -1):
+            full[k] = q * full[k] + p * full[k - 1]
+        full[0] *= q
+    columns = []
+    for a in ns:
+        p, q = a.numerator, a.denominator
+        scale = prev = full[0] // q
+        column = [Fraction(1)]
+        for k in range(1, n):
+            prev = (full[k] - p * prev) // q
+            column.append(Fraction(prev, scale))
+        columns.append(column)
+    return LeaveOneOutTable(tuple(zip(*columns)))
 
 
 def poly_from_roots(ns: NodeSet) -> DensePolynomial:
@@ -174,18 +184,3 @@ def monic_from_roots(roots: Iterable[Rational]) -> DensePolynomial:
         for k in range(len(coeffs) - 1):
             coeffs[k] -= a * coeffs[k + 1]
     return DensePolynomial(tuple(coeffs))
-
-
-def _times_one_plus_at(coeffs: list[Rational], a: Rational) -> list[Rational]:
-    out = list(coeffs) + [Fraction(0)]
-    for k in range(len(out) - 1, 0, -1):
-        out[k] += a * out[k - 1]
-    return out
-
-
-def _convolve(a: list[Rational], b: list[Rational]) -> list[Rational]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out

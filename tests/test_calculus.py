@@ -1,7 +1,9 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vietamat.calculus import (
@@ -14,12 +16,19 @@ from vietamat.calculus import (
     wronskian_matrix,
 )
 from vietamat.exactdet import det_bareiss
-from vietamat.structmat import build_vieta, vieta_det_closed
-from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, leave_one_out_table
+from vietamat.structmat import build_vieta, vandermonde_det_closed, vieta_det_closed
+from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, monic_from_roots
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 distinct_nodes = st.lists(rationals, min_size=1, max_size=6, unique=True)
 points = st.lists(rationals, min_size=1, max_size=8)
+# Half the draws come from a small pool, so repeated and zero nodes are common.
+pooled_points = st.lists(
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(-2, 3)]), rationals),
+    min_size=1,
+    max_size=8,
+)
+polynomials = st.lists(rationals, max_size=9).map(lambda cs: DensePolynomial(tuple(cs)))
 
 
 def test_nodal_basis_examples():
@@ -94,20 +103,15 @@ def test_jacobian_det_examples():
     assert jacobian_det_closed(NodeSet.of(0, 1)) == -1
 
 
-@given(values=distinct_nodes)
-def test_nodal_coefficients_bridge_to_table(values):
-    """Coefficient of x^{n-1-k} in polys[j] is (-1)^k table[k][j]."""
+@example(values=[Fraction(0)])
+@example(values=[Fraction(0), Fraction(0), Fraction(5)])
+@given(values=pooled_points)
+def test_nodal_basis_matches_monic_from_roots(values):
     ns = NodeSet(tuple(values))
-    n = len(values)
     basis = nodal_basis(ns)
-    table = leave_one_out_table(ns)
-    for j in range(n):
-        poly = basis[j]
-        assert poly.degree == n - 1
-        assert poly.coefficients[-1] == 1
-        for k in range(n):
-            expected = table.entries[k][j] if k % 2 == 0 else -table.entries[k][j]
-            assert poly.coefficients[n - 1 - k] == expected
+    assert len(basis) == len(values)
+    for j, poly in enumerate(basis):
+        assert poly == monic_from_roots(ns.without(j))
 
 
 @given(values=distinct_nodes)
@@ -134,6 +138,34 @@ def test_wronskian_probe_independent_and_closed(values, probes):
     expected = wronskian_closed(ns)
     for x0 in probes:
         assert det_bareiss(wronskian_matrix(basis, x0)) == expected
+
+
+@example(polys=[DensePolynomial.zero()], x0=Fraction(0))
+@example(polys=[DensePolynomial.of(1, 2, 3, 4, 5), DensePolynomial.zero()], x0=Fraction(-7, 3))
+@example(polys=[DensePolynomial.of(3), DensePolynomial.of(0, 1), DensePolynomial.of(0, 0, 1)], x0=Fraction(5, 2))
+@given(
+    polys=st.lists(polynomials, min_size=1, max_size=6),
+    x0=st.one_of(st.just(Fraction(0)), rationals),
+)
+def test_wronskian_matrix_matches_derivatives(polys, x0):
+    """Any family, any degree (zero, below n - 1, n and above), at 0 or rational x0."""
+    n = len(polys)
+    m = wronskian_matrix(NodalBasis(tuple(polys)), x0)
+    assert m.entries == tuple(tuple(poly_derivative(p, r)(x0) for p in polys) for r in range(n))
+
+
+@example(values=[Fraction(4)])
+@example(values=[Fraction(0), Fraction(0)])
+@given(values=pooled_points)
+def test_closed_forms_match_naive_product(values):
+    ns = NodeSet(tuple(values))
+    n = len(values)
+    pairs = list(itertools.combinations(range(n), 2))
+    forward = math.prod((values[i] - values[k] for i, k in pairs), start=Fraction(1))
+    backward = math.prod((values[k] - values[i] for i, k in pairs), start=Fraction(1))
+    assert vieta_det_closed(ns) == jacobian_det_closed(ns) == forward
+    assert vandermonde_det_closed(ns) == backward
+    assert wronskian_closed(ns) == math.prod(math.factorial(k) for k in range(n)) * forward
 
 
 @given(values=points)

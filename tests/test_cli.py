@@ -124,6 +124,22 @@ def test_laplace_guard_env_override(capsys, monkeypatch):
     assert out == bareiss_out
 
 
+def test_bad_laplace_env_is_input_error(capsys, monkeypatch):
+    for raw in ("-1", "0", "eight", "2.5", ""):
+        monkeypatch.setenv(LAPLACE_MAX_ENV, raw)
+        code, _, err = run(capsys, "det", "vieta", "--nodes", "1,2,3", "--method", "laplace")
+        assert code == 2, raw
+        assert LAPLACE_MAX_ENV in err
+
+
+def test_out_into_missing_directory_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "m.json"
+    code, out, err = run(capsys, "build", "vieta", "--nodes", "1,2,3", "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == "" and not target.exists()
+
+
 def test_unknown_kind_is_input_error(capsys):
     code, _, _ = run(capsys, "det", "hilbert", "--nodes", "1,2")
     assert code == 2

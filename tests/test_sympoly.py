@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vietamat.sympoly import (
@@ -17,6 +17,12 @@ from vietamat.sympoly import (
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 node_lists = st.lists(rationals, min_size=1, max_size=8)
 small_node_lists = st.lists(rationals, min_size=1, max_size=6)
+# Half the draws come from a small pool, so repeated and zero nodes are common.
+pooled_node_lists = st.lists(
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-3), Fraction(-2, 3)]), rationals),
+    min_size=1,
+    max_size=10,
+)
 
 
 def esp_bruteforce(values, k):
@@ -113,6 +119,21 @@ def test_table_matches_bruteforce(values):
         rest = ns.without(j)
         for k in range(len(values)):
             assert table.entries[k][j] == esp_bruteforce(rest, k)
+
+
+@example(values=[Fraction(0)])
+@example(values=[Fraction(0), Fraction(0), Fraction(5)])
+@example(values=[Fraction(-2, 3), Fraction(7, 4), Fraction(-2, 3)])
+@given(values=pooled_node_lists)
+def test_table_columns_match_elem_sym_of_rest(values):
+    """Column j is e_0..e_{n-1} of the other nodes, by the definitional recurrence."""
+    ns = NodeSet(tuple(values))
+    n = len(values)
+    table = leave_one_out_table(ns)
+    for j in range(n):
+        rest = ns.without(j)
+        expected = tuple(elem_sym_all(NodeSet(rest))[:n]) if rest else (Fraction(1),)
+        assert table.column(j) == expected
 
 
 @given(values=node_lists)
