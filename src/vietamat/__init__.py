@@ -5,7 +5,6 @@ them all."""
 
 from .bench import BenchRecord, run_bench
 from .calculus import (
-    NodalBasis,
     jacobian_det_closed,
     jacobian_matrix,
     nodal_basis,
@@ -25,7 +24,7 @@ from .matio import (
     parse_nodes_text,
     serialize_nodes,
 )
-from .rational import Rational, RationalParseError, parse_rational, rat_arith, render_rational
+from .rational import Rational, RationalParseError, parse_rational, render_rational
 from .structmat import (
     ExactMatrix,
     build_vandermonde,
@@ -37,11 +36,9 @@ from .structmat import (
 )
 from .sympoly import (
     DensePolynomial,
-    LeaveOneOutTable,
     NodeSet,
     elem_sym_all,
     leave_one_out_table,
-    monic_from_roots,
     poly_from_roots,
 )
 from .verify import (

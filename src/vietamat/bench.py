@@ -17,13 +17,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactdet import det_bareiss, det_laplace
+from .exactdet import ORACLES
 from .rational import render_rational
-from .structmat import ExactMatrix, build_vieta, vieta_det_closed
+from .structmat import build_vieta, vieta_det_closed
 from .sympoly import NodeSet
 from .verify import trial_rng
 
-METHODS = ("closed", "bareiss", "laplace")
+METHODS = ("closed", *ORACLES)
 
 CSV_FIELDS = ("method", "n", "entry_bits", "wall_time_ns", "result_hash")
 
@@ -59,16 +59,6 @@ def bench_node_set(seed: int, n: int, entry_bits: int) -> NodeSet:
     )
 
 
-def _evaluate(method: str, ns: NodeSet, matrix: ExactMatrix):
-    if method == "closed":
-        return vieta_det_closed(ns)
-    if method == "bareiss":
-        return det_bareiss(matrix)
-    if method == "laplace":
-        return det_laplace(matrix)
-    raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-
-
 def run_bench(
     n_values: list[int],
     methods: list[str],
@@ -92,9 +82,10 @@ def run_bench(
         ns = bench_node_set(seed, n, entry_bits)
         matrix = build_vieta(ns)
         for method in methods:
+            det, arg = (vieta_det_closed, ns) if method == "closed" else (ORACLES[method], matrix)
             for _ in range(repeats):
                 start = time.perf_counter_ns()
-                value = _evaluate(method, ns, matrix)
+                value = det(arg)
                 elapsed = time.perf_counter_ns() - start
                 records.append(BenchRecord(method, n, entry_bits, elapsed, result_hash(value)))
     return records

@@ -11,49 +11,27 @@ literally the leave-one-out grid, entry for entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Sequence
 
 from .rational import Rational
-from .structmat import ExactMatrix, vieta_det_closed
+from .structmat import ExactMatrix, build_vieta, vieta_det_closed
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_table
 
 
-@dataclass(frozen=True)
-class NodalBasis:
-    """polys[j] = monic prod_{i != j} (x - a_i), each of degree n - 1.
-
-    With distinct nodes, polys[j] vanishes at every node except node j.
-    """
-
-    polys: tuple[DensePolynomial, ...]
-
-    def __post_init__(self):
-        if not self.polys:
-            raise ValueError("a nodal basis needs at least one polynomial")
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __iter__(self) -> Iterator[DensePolynomial]:
-        return iter(self.polys)
-
-    def __getitem__(self, index: int) -> DensePolynomial:
-        return self.polys[index]
-
-
-def nodal_basis(ns: NodeSet) -> NodalBasis:
-    """Monic leave-one-out polynomials of the nodes, read off the table.
+def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
+    """Monic leave-one-out polynomials of the nodes, read off the table:
+    polys[j] = prod_{i != j} (x - a_i), of degree n - 1.  With distinct
+    nodes, polys[j] vanishes at every node except node j.
 
     The coefficient of x^{n-1-k} in polys[j] is (-1)^k times entry
     (k, j) of `leave_one_out_table`, so the basis costs one O(n^2) table
     and a sign flip per entry.  For a single node the basis is the
     constant polynomial 1 (empty product).
     """
-    signed = [[-e if k % 2 else e for e in row] for k, row in enumerate(leave_one_out_table(ns).entries)]
+    signed = [[-e if k % 2 else e for e in row] for k, row in enumerate(leave_one_out_table(ns))]
     signed.reverse()
-    return NodalBasis(tuple(DensePolynomial(column) for column in zip(*signed)))
+    return tuple(DensePolynomial(column) for column in zip(*signed))
 
 
 def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
@@ -65,7 +43,7 @@ def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
     return p
 
 
-def wronskian_matrix(basis: NodalBasis, x0: Rational) -> ExactMatrix:
+def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Rational) -> ExactMatrix:
     """Matrix with entry (r, j) = r-th derivative of polys[j] at x0.
 
     Works for any polynomial family, of any degree.  Column j comes from
@@ -74,7 +52,8 @@ def wronskian_matrix(basis: NodalBasis, x0: Rational) -> ExactMatrix:
     polynomial G(y) = D v^d p(y / v) is shifted to G(u + s) by Horner
     steps (von zur Gathen & Gerhard, ISSAC 1997), whose coefficient h_r
     gives p^(r)(x0) = r! h_r / (D v^(d-r)), reduced once.  O(d^2)
-    integer steps per column.
+    integer steps per column.  An empty family is rejected, as any empty
+    matrix is.
     """
     n = len(basis)
     x0 = Fraction(x0)
@@ -110,15 +89,9 @@ def wronskian_closed(ns: NodeSet) -> Rational:
     return scale * vieta_det_closed(ns)
 
 
-def jacobian_matrix(point: NodeSet) -> ExactMatrix:
-    """Partials of the elementary symmetric map (e_1, ..., e_n) at a point.
-
-    d e_{r+1} / d x_{c+1} is e_r of the other coordinates, so the matrix
-    is exactly the leave-one-out grid (identical to `build_vieta`).
-    """
-    return ExactMatrix(leave_one_out_table(point).entries)
-
-
-def jacobian_det_closed(point: NodeSet) -> Rational:
-    """Closed-form Jacobian determinant: prod_{i<k} (x_i - x_k)."""
-    return vieta_det_closed(point)
+# The partial d e_{r+1} / d x_{c+1} is e_r of the other coordinates, so the
+# Jacobian of (e_1, ..., e_n) is the leave-one-out grid entry for entry and
+# its determinant is the same product prod_{i<k} (x_i - x_k).  The paper's
+# names stay; the kernels are the Vieta ones.
+jacobian_matrix = build_vieta
+jacobian_det_closed = vieta_det_closed

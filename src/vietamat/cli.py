@@ -9,7 +9,6 @@ VIETA_LAPLACE_MAX), 3 size-guard violation.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .calculus import (
     wronskian_closed,
     wronskian_matrix,
 )
-from .exactdet import LAPLACE_MAX_ENV, LaplaceSizeError, det_bareiss, det_laplace
+from .exactdet import ORACLES, LaplaceSizeError, laplace_size_limit
 from .matio import load_nodes_file, matrix_to_csv, matrix_to_json, parse_nodes_text
 from .rational import parse_rational, render_rational
 from .structmat import (
@@ -34,13 +33,12 @@ from .structmat import (
 from .sympoly import NodeSet
 from .verify import VerifyConfig, run_suite
 
-KINDS = ("vieta", "vandermonde", "wronskian", "jacobian")
-
-_CLOSED_FORMS = {
-    "vieta": vieta_det_closed,
-    "vandermonde": vandermonde_det_closed,
-    "wronskian": wronskian_closed,
-    "jacobian": jacobian_det_closed,
+# kind -> (build(nodes, at), closed(nodes)); `at` matters only for wronskian.
+KINDS = {
+    "vieta": (lambda ns, at: build_vieta(ns), vieta_det_closed),
+    "vandermonde": (lambda ns, at: build_vandermonde(ns), vandermonde_det_closed),
+    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(ns), at), wronskian_closed),
+    "jacobian": (lambda ns, at: jacobian_matrix(ns), jacobian_det_closed),
 }
 
 
@@ -53,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a matrix and emit it as JSON or CSV")
     p_build.add_argument("kind", choices=KINDS)
-    _add_nodes_arguments(p_build)
-    p_build.add_argument("--at", default="0", help="evaluation point for wronskian (rational, default 0)")
+    _add_input_arguments(p_build)
     p_build.add_argument("--format", choices=("json", "csv"), default="json")
     p_build.add_argument("--out", help="write to this path instead of stdout")
     p_build.set_defaults(handler=_cmd_build)
@@ -87,16 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_nodes_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--nodes", help="inline comma-separated rationals, e.g. 1,2,-3/4")
+    group.add_argument(
+        "--nodes",
+        help="inline comma-separated rationals, e.g. 1,2,-3/4 (write --nodes=-1,2 if the first is negative)",
+    )
     group.add_argument("--nodes-file", help='JSON file with schema {"nodes": ["1", "-3/4"]}')
+    parser.add_argument(
+        "--at",
+        default="0",
+        help="evaluation point for wronskian (rational, default 0; write --at=-1/2 if negative)",
+    )
 
 
 def _add_det_arguments(parser: argparse.ArgumentParser, fixed_kind: str | None = None) -> None:
-    _add_nodes_arguments(parser)
-    parser.add_argument("--at", default="0", help="evaluation point for wronskian (rational, default 0)")
-    parser.add_argument("--method", choices=("closed", "laplace", "bareiss"), default="closed")
+    _add_input_arguments(parser)
+    parser.add_argument("--method", choices=METHODS, default="closed")
     if fixed_kind is None:
         parser.set_defaults(handler=_cmd_det)
     else:
@@ -109,16 +113,6 @@ def _resolve_nodes(args) -> NodeSet:
     return load_nodes_file(args.nodes_file)
 
 
-def _build_matrix(kind: str, ns: NodeSet, at):
-    if kind == "vieta":
-        return build_vieta(ns)
-    if kind == "vandermonde":
-        return build_vandermonde(ns)
-    if kind == "wronskian":
-        return wronskian_matrix(nodal_basis(ns), at)
-    return jacobian_matrix(ns)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -127,8 +121,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
-    ns = _resolve_nodes(args)
-    matrix = _build_matrix(args.kind, ns, parse_rational(args.at))
+    build, _ = KINDS[args.kind]
+    matrix = build(_resolve_nodes(args), parse_rational(args.at))
     if args.format == "csv":
         _emit(matrix_to_csv(matrix), args.out)
     else:
@@ -138,11 +132,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_det(args) -> int:
     ns = _resolve_nodes(args)
+    build, closed = KINDS[args.kind]
     if args.method == "closed":
-        value = _CLOSED_FORMS[args.kind](ns)
+        value = closed(ns)
     else:
-        matrix = _build_matrix(args.kind, ns, parse_rational(args.at))
-        value = det_laplace(matrix) if args.method == "laplace" else det_bareiss(matrix)
+        value = ORACLES[args.method](build(ns, parse_rational(args.at)))
     sys.stdout.write(render_rational(value) + "\n")
     return 0
 
@@ -182,17 +176,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _check_laplace_env() -> None:
-    """Reject a VIETA_LAPLACE_MAX that is not an integer >= 1 as input."""
-    raw = os.environ.get(LAPLACE_MAX_ENV)
-    try:
-        valid = raw is None or int(raw) >= 1
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"{LAPLACE_MAX_ENV} must be an integer >= 1, got {raw!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -201,7 +184,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad arguments, 0 for --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _check_laplace_env()
+        laplace_size_limit()  # reject a bad VIETA_LAPLACE_MAX before any command
         return args.handler(args)
     except LaplaceSizeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -23,11 +23,21 @@ class LaplaceSizeError(ValueError):
 
 
 def laplace_size_limit() -> int:
-    """Current cofactor-expansion guard; VIETA_LAPLACE_MAX overrides 8."""
+    """Current cofactor-expansion guard; VIETA_LAPLACE_MAX overrides 8.
+
+    A value that is not an integer >= 1 raises a plain ValueError that
+    names the variable.
+    """
     raw = os.environ.get(LAPLACE_MAX_ENV)
     if raw is None:
         return DEFAULT_LAPLACE_MAX
-    return int(raw)
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{LAPLACE_MAX_ENV} must be an integer >= 1, got {raw!r}")
+    return limit
 
 
 def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
@@ -105,6 +115,9 @@ def det_bareiss(m: ExactMatrix) -> Rational:
         prev = pivot
     result = a[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}
 
 
 def _require_square(m: ExactMatrix, where: str) -> None:

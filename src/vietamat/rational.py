@@ -14,21 +14,12 @@ bit-exactly.
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 
 Rational = Fraction
 
 _WIRE_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
-
-_ARITH = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
-
 
 class RationalParseError(ValueError):
     """Text does not denote a rational in wire syntax."""
@@ -60,15 +51,3 @@ def render_rational(value: Rational) -> str:
     """Canonical wire text: "n" for integers, "n/d" otherwise."""
     return str(Fraction(value))
 
-
-def rat_arith(op: str, a: Rational, b: Rational) -> Rational:
-    """Apply field arithmetic by name: op in {add, sub, mul, div}.
-
-    Division by zero raises ZeroDivisionError; an unknown op name raises
-    ValueError.
-    """
-    try:
-        fn = _ARITH[op]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic op {op!r}; expected one of {sorted(_ARITH)}") from None
-    return fn(a, b)

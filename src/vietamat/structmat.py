@@ -62,7 +62,7 @@ def build_vieta(ns: NodeSet) -> ExactMatrix:
 
     Row 0 is all ones; a single node gives [[1]].
     """
-    return ExactMatrix(leave_one_out_table(ns).entries)
+    return ExactMatrix(leave_one_out_table(ns))
 
 
 def vieta_det_closed(ns: NodeSet) -> Rational:

@@ -108,25 +108,6 @@ class DensePolynomial:
         return DensePolynomial(tuple(k * c for k, c in enumerate(self.coefficients) if k > 0))
 
 
-@dataclass(frozen=True)
-class LeaveOneOutTable:
-    """Grid entries[k][j] = e_k of the nodes with node j removed.
-
-    Row 0 is all ones (empty products); column j, read with alternating
-    signs, lists the coefficients of the monic polynomial whose roots are
-    the other nodes.
-    """
-
-    entries: tuple[tuple[Rational, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def column(self, j: int) -> tuple[Rational, ...]:
-        return tuple(row[j] for row in self.entries)
-
-
 def elem_sym_all(ns: NodeSet) -> list[Rational]:
     """All elementary symmetric values [e_0, e_1, ..., e_n] of the nodes.
 
@@ -141,8 +122,13 @@ def elem_sym_all(ns: NodeSet) -> list[Rational]:
     return e
 
 
-def leave_one_out_table(ns: NodeSet) -> LeaveOneOutTable:
-    """The e_k grid over every leave-one-out multiset of the nodes.
+def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Rational, ...], ...]:
+    """The e_k grid over every leave-one-out multiset of the nodes, as rows:
+    entry [k][j] is e_k of the nodes with node j removed.
+
+    Row 0 is all ones (empty products); column j, read with alternating
+    signs, lists the coefficients of the monic polynomial whose roots are
+    the other nodes.
 
     Writing a_i = p_i / q_i, the integer coefficients of
     prod_i (q_i + p_i t) are Q * e_k with Q = prod_i q_i.  Column j is
@@ -168,16 +154,12 @@ def leave_one_out_table(ns: NodeSet) -> LeaveOneOutTable:
             prev = (full[k] - p * prev) // q
             column.append(Fraction(prev, scale))
         columns.append(column)
-    return LeaveOneOutTable(tuple(zip(*columns)))
+    return tuple(zip(*columns))
 
 
-def poly_from_roots(ns: NodeSet) -> DensePolynomial:
-    """Monic prod_i (x - a_i); the coefficient of x^{n-k} is (-1)^k e_k."""
-    return monic_from_roots(ns.nodes)
-
-
-def monic_from_roots(roots: Iterable[Rational]) -> DensePolynomial:
-    """Monic polynomial with the given roots; the empty product is 1."""
+def poly_from_roots(roots: Iterable[Rational]) -> DensePolynomial:
+    """Monic prod_i (x - a_i); the coefficient of x^{n-k} is (-1)^k e_k.
+    The empty product is 1."""
     coeffs = [Fraction(1)]
     for a in roots:
         coeffs.insert(0, Fraction(0))

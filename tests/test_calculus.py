@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vietamat.calculus import (
-    NodalBasis,
     jacobian_det_closed,
     jacobian_matrix,
     nodal_basis,
@@ -17,7 +16,7 @@ from vietamat.calculus import (
 )
 from vietamat.exactdet import det_bareiss
 from vietamat.structmat import build_vieta, vandermonde_det_closed, vieta_det_closed
-from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, monic_from_roots
+from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 distinct_nodes = st.lists(rationals, min_size=1, max_size=6, unique=True)
@@ -52,7 +51,7 @@ def test_nodal_basis_two_nodes():
 
 def test_nodal_basis_rejects_empty():
     with pytest.raises(ValueError):
-        NodalBasis(())
+        wronskian_matrix((), Fraction(0))
 
 
 def test_poly_derivative():
@@ -106,12 +105,12 @@ def test_jacobian_det_examples():
 @example(values=[Fraction(0)])
 @example(values=[Fraction(0), Fraction(0), Fraction(5)])
 @given(values=pooled_points)
-def test_nodal_basis_matches_monic_from_roots(values):
+def test_nodal_basis_matches_poly_from_roots(values):
     ns = NodeSet(tuple(values))
     basis = nodal_basis(ns)
     assert len(basis) == len(values)
     for j, poly in enumerate(basis):
-        assert poly == monic_from_roots(ns.without(j))
+        assert poly == poly_from_roots(ns.without(j))
 
 
 @given(values=distinct_nodes)
@@ -150,7 +149,7 @@ def test_wronskian_probe_independent_and_closed(values, probes):
 def test_wronskian_matrix_matches_derivatives(polys, x0):
     """Any family, any degree (zero, below n - 1, n and above), at 0 or rational x0."""
     n = len(polys)
-    m = wronskian_matrix(NodalBasis(tuple(polys)), x0)
+    m = wronskian_matrix(polys, x0)
     assert m.entries == tuple(tuple(poly_derivative(p, r)(x0) for p in polys) for r in range(n))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from vietamat.cli import main
@@ -18,10 +19,23 @@ def test_det_closed(capsys):
 
 
 def test_det_all_methods_agree(capsys):
-    for method in ("closed", "laplace", "bareiss"):
-        code, out, _ = run(capsys, "det", "vieta", "--nodes", "1,2,3", "--method", method)
-        assert code == 0
-        assert out == "-2\n"
+    expected = {"vieta": "-2\n", "vandermonde": "2\n", "wronskian": "-4\n", "jacobian": "-2\n"}
+    for kind, want in expected.items():
+        for method in ("closed", "laplace", "bareiss"):
+            for nodes, out_want in (("1,2,3", want), ("4,-1/2,4", "0\n")):
+                code, out, _ = run(capsys, "det", kind, "--nodes", nodes, "--method", method, "--at=-2/7")
+                assert (code, out) == (0, out_want), (kind, method, nodes)
+
+
+def test_leading_minus_needs_equals_form(capsys):
+    code, out, _ = run(capsys, "det", "vieta", "--nodes=-1,2")
+    assert (code, out) == (0, "-3\n")
+    code, _, _ = run(capsys, "build", "wronskian", "--nodes", "1,2", "--at=-1/2")
+    assert code == 0
+    # Without "=" argparse reads the value as an option.
+    code, _, err = run(capsys, "det", "vieta", "--nodes", "-1,2")
+    assert code == 2
+    assert "expected one argument" in err
 
 
 def test_det_repeated_nodes(capsys):
@@ -233,6 +247,20 @@ def test_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text() == "1,1,1\n5,4,3\n6,3,2\n"
+
+
+def test_verify_and_bench_outputs_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "13ced407a08e28f24646f72f34a2a5888b55892dd38e450433ca21ff93003ee1"
+    )
+    code, out, _ = run(capsys, "bench", "--n", "4,8,16", "--methods", "closed,bareiss")
+    assert code == 0
+    rows = "".join(",".join(line.split(",")[i] for i in (0, 1, 4)) + "\n" for line in out.splitlines())
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "9fb6b10454c50e0699cb37af5561c4325674dbe4182b1fde85b90fda21675bea"
+    )
 
 
 def test_no_command_is_input_error(capsys):

@@ -96,6 +96,14 @@ def test_laplace_guard_env_override(monkeypatch):
     assert laplace_size_limit() == DEFAULT_LAPLACE_MAX
 
 
+@pytest.mark.parametrize("raw", ["-1", "0", "eight", "2.5", ""])
+def test_bad_laplace_env_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv(LAPLACE_MAX_ENV, raw)
+    with pytest.raises(ValueError, match=LAPLACE_MAX_ENV) as excinfo:
+        laplace_size_limit()
+    assert not isinstance(excinfo.value, LaplaceSizeError)
+
+
 @given(rows=square_matrices(4))
 def test_both_oracles_match_leibniz(rows):
     m = ExactMatrix.from_rows(rows)
