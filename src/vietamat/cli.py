@@ -132,11 +132,12 @@ def _cmd_build(args) -> int:
 
 def _cmd_det(args) -> int:
     ns = _resolve_nodes(args)
+    at = parse_rational(args.at)
     build, closed = KINDS[args.kind]
     if args.method == "closed":
         value = closed(ns)
     else:
-        value = ORACLES[args.method](build(ns, parse_rational(args.at)))
+        value = ORACLES[args.method](build(ns, at))
     sys.stdout.write(render_rational(value) + "\n")
     return 0
 

@@ -4,12 +4,20 @@ Two deliberately different algorithms validate every closed form in this
 library: cofactor expansion (no elimination ideas at all) and
 fraction-free elimination.  A bug would have to strike both the product
 formula and two unrelated determinant routes identically to go unnoticed.
+
+Both run on plain ints.  Each clears the denominators once by scaling its
+own axis to integers, runs its algorithm, and divides by the scale once
+at the end: det_laplace scales rows, det_bareiss scales columns.  The two
+scaling steps share no code, so a bug in one cannot hide in both.  The
+scale depends on the denominators alone; neither oracle knows the
+matrix's structure.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import lcm, prod
 
 from .rational import Rational
 from .structmat import ExactMatrix
@@ -43,10 +51,12 @@ def laplace_size_limit() -> int:
 def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
     """Determinant by recursive cofactor expansion along the first row.
 
-    Minors repeat across branches, so they are memoized by their column
-    set; the arithmetic is the textbook expansion, term for term.  Sizes
-    beyond the guard (default 8, env-overridable) raise LaplaceSizeError
-    rather than silently switching algorithm.
+    Each row is first multiplied by the lcm of its denominators, so the
+    expansion runs on ints and the result is divided by the product of
+    those lcms once.  Minors repeat across branches, so they are memoized
+    by their column set; the arithmetic is the textbook expansion, term
+    for term.  Sizes beyond the guard (default 8, env-overridable) raise
+    LaplaceSizeError rather than silently switching algorithm.
     """
     _require_square(m, "det_laplace")
     limit = laplace_size_limit() if max_size is None else max_size
@@ -56,17 +66,21 @@ def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
             f"det_laplace is limited to {limit}x{limit}, got {n}x{n}; "
             f"set {LAPLACE_MAX_ENV} to raise the guard"
         )
-    rows = m.entries
-    memo: dict[tuple[int, ...], Fraction] = {}
+    row_lcms = [lcm(*(e.denominator for e in row)) for row in m.entries]
+    rows = [
+        [e.numerator * (d // e.denominator) for e in row]
+        for row, d in zip(m.entries, row_lcms)
+    ]
+    memo: dict[tuple[int, ...], int] = {}
 
-    def expand(depth: int, cols: tuple[int, ...]) -> Fraction:
+    def expand(depth: int, cols: tuple[int, ...]) -> int:
         if len(cols) == 1:
             return rows[depth][cols[0]]
         cached = memo.get(cols)
         if cached is not None:
             return cached
         row = rows[depth]
-        total = Fraction(0)
+        total = 0
         negate = False
         for pos, j in enumerate(cols):
             coeff = row[j]
@@ -77,23 +91,30 @@ def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
         memo[cols] = total
         return total
 
-    return expand(0, tuple(range(n)))
+    return Fraction(expand(0, tuple(range(n))), prod(row_lcms))
 
 
 def det_bareiss(m: ExactMatrix) -> Rational:
     """Determinant by fraction-free elimination with row pivoting.
 
-    Pivots on the first nonzero entry in each column, counting swaps for
-    the sign.  Every intermediate division is exact by construction: on
-    integer input all intermediates stay integral (asserted in debug
-    runs).
+    Each column is first multiplied by the lcm of its denominators, so
+    the elimination runs on ints and the result is divided by the product
+    of those lcms once.  Columns, not rows: the row lcms of a power
+    matrix multiply up to (prod q)^(n(n-1)/2), the column lcms only to
+    (prod q)^(n-1).  Pivots on the first nonzero entry in each column,
+    counting swaps for the sign.  Every step divides exactly by the
+    previous pivot (Bareiss 1968); that is asserted on every input
+    (unless Python runs with -O).
     """
     _require_square(m, "det_bareiss")
-    a = [list(row) for row in m.entries]
-    n = len(a)
-    integral = __debug__ and all(e.denominator == 1 for row in a for e in row)
+    n = m.n_rows
+    col_lcms = [lcm(*(row[j].denominator for row in m.entries)) for j in range(n)]
+    a = [
+        [e.numerator * (d // e.denominator) for e, d in zip(row, col_lcms)]
+        for row in m.entries
+    ]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -107,14 +128,12 @@ def det_bareiss(m: ExactMatrix) -> Rational:
             row_i = a[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                value = (pivot * row_i[j] - head * row_k[j]) / prev
-                if integral:
-                    assert value.denominator == 1, "fraction-free step divided unevenly"
-                row_i[j] = value
-            row_i[k] = Fraction(0)
+                q, r = divmod(pivot * row_i[j] - head * row_k[j], prev)
+                assert not r, "fraction-free step divided unevenly"
+                row_i[j] = q
+            row_i[k] = 0
         prev = pivot
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
+    return Fraction(sign * a[n - 1][n - 1], prod(col_lcms))
 
 
 ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}

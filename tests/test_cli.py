@@ -115,6 +115,18 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_bad_at_is_input_error_for_every_method(capsys):
+    # --at is parsed for every kind and method, including ones that ignore it
+    for argv in (
+        ("det", "wronskian", "--nodes", "1,2", "--at", "x"),
+        ("det", "wronskian", "--nodes", "1,2", "--at", "x", "--method", "bareiss"),
+        ("build", "vieta", "--nodes", "1,2", "--at", "x"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "invalid rational 'x'" in err
+
+
 def test_missing_nodes_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "det", "vieta", "--nodes-file", str(tmp_path / "gone.json"))
     assert code == 2

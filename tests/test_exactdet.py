@@ -42,6 +42,27 @@ def square_matrices(max_n):
     )
 
 
+def mixed_denominator_matrices(max_n):
+    """Square matrices that mix all-integer columns with columns whose
+    denominators reach 2**70, so one matrix holds column lcms of 1 and
+    lcms far past any machine word."""
+    small = st.integers(min_value=-9, max_value=9).map(Fraction)
+    huge = st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=2**70),
+    )
+
+    def columns(n):
+        column = st.one_of(
+            st.lists(small, min_size=n, max_size=n),
+            st.lists(st.one_of(huge, small), min_size=n, max_size=n),
+        )
+        return st.lists(column, min_size=n, max_size=n).map(lambda cols: [list(r) for r in zip(*cols)])
+
+    return st.integers(min_value=1, max_value=max_n).flatmap(columns)
+
+
 def test_laplace_examples():
     assert det_laplace(ExactMatrix.from_rows([[1, 1], [0, 2]])) == 2
     assert det_laplace(ExactMatrix.from_rows([[1, 1, 1], [5, 4, 3], [6, 3, 2]])) == -2
@@ -66,6 +87,33 @@ def test_bareiss_needs_pivot_swap():
     assert det_bareiss(m) == -1
     m = ExactMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert det_bareiss(m) == -1
+
+
+def test_rational_one_by_one():
+    m = ExactMatrix.from_rows([[Fraction(-3, 7)]])
+    assert det_bareiss(m) == Fraction(-3, 7)
+    assert det_laplace(m) == Fraction(-3, 7)
+
+
+def test_rational_pivot_swaps():
+    F = Fraction
+    # zero leading pivot
+    leading = ExactMatrix.from_rows([[0, F(1, 2), F(1, 3)], [F(2, 5), F(1, 7), 0], [F(1, 4), F(3, 8), F(5, 6)]])
+    # the (1, 1) entry cancels to zero after the first elimination step
+    cancelled = ExactMatrix.from_rows([[F(1, 2), F(1, 3), 1], [F(1, 4), F(1, 6), 2], [1, 1, 1]])
+    for m, expected in ((leading, F(-9, 70)), (cancelled, F(-1, 4))):
+        assert det_bareiss(m) == expected
+        assert det_laplace(m) == expected
+
+
+def test_rational_zero_column():
+    F = Fraction
+    # no pivot in column 1 after one elimination step, with two steps left
+    m = ExactMatrix.from_rows(
+        [[F(1, 2), 0, 3, F(2, 3)], [F(5, 7), 0, F(1, 9), 1], [2, 0, F(4, 11), F(-1, 5)], [F(3, 8), 0, 1, 4]]
+    )
+    assert det_bareiss(m) == 0
+    assert det_laplace(m) == 0
 
 
 def test_non_square_rejected():
@@ -106,6 +154,14 @@ def test_bad_laplace_env_is_rejected(monkeypatch, raw):
 
 @given(rows=square_matrices(4))
 def test_both_oracles_match_leibniz(rows):
+    m = ExactMatrix.from_rows(rows)
+    expected = leibniz_det(rows)
+    assert det_laplace(m) == expected
+    assert det_bareiss(m) == expected
+
+
+@given(rows=mixed_denominator_matrices(5))
+def test_both_oracles_match_leibniz_on_huge_denominators(rows):
     m = ExactMatrix.from_rows(rows)
     expected = leibniz_det(rows)
     assert det_laplace(m) == expected
@@ -164,7 +220,8 @@ def test_identity_det(n):
 
 
 def test_bareiss_integer_input_stays_integral():
-    # exercises the debug assertion path on a matrix with integer entries
+    # integer entries give every column an lcm of 1, so elimination runs on
+    # the entries themselves and every exact-division assertion checks them
     ns = NodeSet.of(3, -7, 11, 2, -5)
     m = build_vieta(ns)
     assert all(e.denominator == 1 for row in m.entries for e in row)
