@@ -15,17 +15,14 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactdet import ORACLES
 from .rational import render_rational
 from .structmat import build_vieta, vieta_det_closed
 from .sympoly import NodeSet
-from .verify import trial_rng
+from .verify import random_rational, trial_rng
 
 METHODS = ("closed", *ORACLES)
-
-CSV_FIELDS = ("method", "n", "entry_bits", "wall_time_ns", "result_hash")
 
 
 @dataclass(frozen=True)
@@ -51,12 +48,7 @@ def bench_node_set(seed: int, n: int, entry_bits: int) -> NodeSet:
     """Deterministic node set for size n with entry_bits-sized parts."""
     rng = trial_rng(seed, "bench", n)
     top = 2**entry_bits - 1
-    return NodeSet(
-        tuple(
-            Fraction(rng.randint(-top, top), rng.randint(1, top))
-            for _ in range(n)
-        )
-    )
+    return NodeSet(tuple(random_rational(rng, top) for _ in range(n)))
 
 
 def run_bench(

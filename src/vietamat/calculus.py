@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import Rational
 from .structmat import ExactMatrix, build_vieta, vieta_det_closed
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_table
 
@@ -38,12 +37,13 @@ def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
     """Formal derivative iterated `order` times; order 0 returns p."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
+    coeffs = p.coefficients
     for _ in range(order):
-        p = p.derivative()
-    return p
+        coeffs = tuple(k * c for k, c in enumerate(coeffs) if k > 0)
+    return DensePolynomial(coeffs)
 
 
-def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Rational) -> ExactMatrix:
+def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:
     """Matrix with entry (r, j) = r-th derivative of polys[j] at x0.
 
     Works for any polynomial family, of any degree.  Column j comes from
@@ -61,7 +61,7 @@ def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Rational) -> ExactMat
     return ExactMatrix(tuple(zip(*columns)))
 
 
-def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> list[Rational]:
+def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> list[Fraction]:
     """[p(x0), p'(x0), ..., p^(count-1)(x0)] at x0 = u / v."""
     coeffs = p.coefficients
     d = len(coeffs) - 1
@@ -82,7 +82,7 @@ def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> list[
     return out
 
 
-def wronskian_closed(ns: NodeSet) -> Rational:
+def wronskian_closed(ns: NodeSet) -> Fraction:
     """Closed-form Wronskian of the nodal basis: prod_{k<n} k! times the
     node-difference product.  Independent of the evaluation point."""
     scale = math.prod(math.factorial(k) for k in range(len(ns)))

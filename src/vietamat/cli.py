@@ -193,7 +193,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,7 +19,6 @@ import os
 from fractions import Fraction
 from math import lcm, prod
 
-from .rational import Rational
 from .structmat import ExactMatrix
 
 LAPLACE_MAX_ENV = "VIETA_LAPLACE_MAX"
@@ -48,7 +47,7 @@ def laplace_size_limit() -> int:
     return limit
 
 
-def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
+def det_laplace(m: ExactMatrix) -> Fraction:
     """Determinant by recursive cofactor expansion along the first row.
 
     Each row is first multiplied by the lcm of its denominators, so the
@@ -59,7 +58,7 @@ def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
     LaplaceSizeError rather than silently switching algorithm.
     """
     _require_square(m, "det_laplace")
-    limit = laplace_size_limit() if max_size is None else max_size
+    limit = laplace_size_limit()
     n = m.n_rows
     if n > limit:
         raise LaplaceSizeError(
@@ -94,7 +93,7 @@ def det_laplace(m: ExactMatrix, *, max_size: int | None = None) -> Rational:
     return Fraction(expand(0, tuple(range(n))), prod(row_lcms))
 
 
-def det_bareiss(m: ExactMatrix) -> Rational:
+def det_bareiss(m: ExactMatrix) -> Fraction:
     """Determinant by fraction-free elimination with row pivoting.
 
     Each column is first multiplied by the lcm of its denominators, so

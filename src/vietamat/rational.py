@@ -17,8 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _WIRE_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
 class RationalParseError(ValueError):
@@ -31,7 +29,7 @@ class RationalParseError(ValueError):
         self.reason = reason
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse wire-syntax text ("-3", "5/6") into a canonical rational.
 
     Raises RationalParseError, carrying the offending position, on bad
@@ -47,7 +45,7 @@ def parse_rational(text: str) -> Rational:
     return Fraction(text)
 
 
-def render_rational(value: Rational) -> str:
+def render_rational(value: Fraction) -> str:
     """Canonical wire text: "n" for integers, "n/d" otherwise."""
     return str(Fraction(value))
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rational import Rational
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_table, poly_from_roots
 
 
@@ -26,7 +25,7 @@ class ExactMatrix:
     reject anything non-square.
     """
 
-    entries: tuple[tuple[Rational, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
@@ -38,7 +37,7 @@ class ExactMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Rational]]) -> "ExactMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
     @property
@@ -53,9 +52,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self.entries[i]
-
 
 def build_vieta(ns: NodeSet) -> ExactMatrix:
     """n x n matrix with entry (r, j) = e_r of the nodes omitting node j.
@@ -65,7 +61,7 @@ def build_vieta(ns: NodeSet) -> ExactMatrix:
     return ExactMatrix(leave_one_out_table(ns))
 
 
-def vieta_det_closed(ns: NodeSet) -> Rational:
+def vieta_det_closed(ns: NodeSet) -> Fraction:
     """Closed-form determinant of `build_vieta`: prod_{i<k} (a_i - a_k).
 
     With a_i = p_i / q_i, the integer cross differences
@@ -94,7 +90,7 @@ def build_vandermonde(ns: NodeSet) -> ExactMatrix:
     return ExactMatrix(tuple(tuple(row) for row in rows))
 
 
-def vandermonde_det_closed(ns: NodeSet) -> Rational:
+def vandermonde_det_closed(ns: NodeSet) -> Fraction:
     """Closed-form determinant of `build_vandermonde`: prod_{k>i} (a_k - a_i),
     which is (-1)^{n(n-1)/2} times `vieta_det_closed`."""
     n = len(ns)
@@ -102,7 +98,7 @@ def vandermonde_det_closed(ns: NodeSet) -> Rational:
     return -det if n * (n - 1) // 2 % 2 else det
 
 
-def shift_nodes(ns: NodeSet, c: Rational) -> NodeSet:
+def shift_nodes(ns: NodeSet, c: Fraction) -> NodeSet:
     """Subtract c from every node, preserving order.
 
     The closed-form determinant is invariant under this shift even though

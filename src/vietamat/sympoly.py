@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .rational import Rational
-
 
 @dataclass(frozen=True)
 class NodeSet:
     """Ordered rational nodes; at least one node, duplicates allowed."""
 
-    nodes: tuple[Rational, ...]
+    nodes: tuple[Fraction, ...]
 
     def __post_init__(self):
         coerced = tuple(Fraction(v) for v in self.nodes)
@@ -36,13 +34,13 @@ class NodeSet:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __iter__(self) -> Iterator[Rational]:
+    def __iter__(self) -> Iterator[Fraction]:
         return iter(self.nodes)
 
-    def __getitem__(self, index: int) -> Rational:
+    def __getitem__(self, index: int) -> Fraction:
         return self.nodes[index]
 
-    def without(self, index: int) -> tuple[Rational, ...]:
+    def without(self, index: int) -> tuple[Fraction, ...]:
         """All nodes except the one at `index`, order preserved."""
         return self.nodes[:index] + self.nodes[index + 1:]
 
@@ -56,7 +54,7 @@ class DensePolynomial:
     uniquely the empty tuple.
     """
 
-    coefficients: tuple[Rational, ...]
+    coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
         coeffs = [Fraction(c) for c in self.coefficients]
@@ -80,7 +78,7 @@ class DensePolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def __call__(self, x: Rational) -> Rational:
+    def __call__(self, x: Fraction) -> Fraction:
         """Evaluate at x by Horner's rule."""
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -103,12 +101,8 @@ class DensePolynomial:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "DensePolynomial":
-        """First formal derivative."""
-        return DensePolynomial(tuple(k * c for k, c in enumerate(self.coefficients) if k > 0))
 
-
-def elem_sym_all(ns: NodeSet) -> list[Rational]:
+def elem_sym_all(ns: NodeSet) -> list[Fraction]:
     """All elementary symmetric values [e_0, e_1, ..., e_n] of the nodes.
 
     Computed by multiplying the running generating polynomial by (1 + a*t)
@@ -122,7 +116,7 @@ def elem_sym_all(ns: NodeSet) -> list[Rational]:
     return e
 
 
-def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Rational, ...], ...]:
+def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Fraction, ...], ...]:
     """The e_k grid over every leave-one-out multiset of the nodes, as rows:
     entry [k][j] is e_k of the nodes with node j removed.
 
@@ -157,7 +151,7 @@ def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Rational, ...], ...]:
     return tuple(zip(*columns))
 
 
-def poly_from_roots(roots: Iterable[Rational]) -> DensePolynomial:
+def poly_from_roots(roots: Iterable[Fraction]) -> DensePolynomial:
     """Monic prod_i (x - a_i); the coefficient of x^{n-k} is (-1)^k e_k.
     The empty product is 1."""
     coeffs = [Fraction(1)]

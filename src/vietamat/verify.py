@@ -24,12 +24,12 @@ from fractions import Fraction
 from .calculus import jacobian_det_closed, jacobian_matrix, nodal_basis, wronskian_closed, wronskian_matrix
 from .exactdet import det_bareiss, det_laplace, laplace_size_limit
 from .matio import serialize_nodes
-from .rational import Rational, parse_rational, render_rational
+from .rational import parse_rational, render_rational
 from .structmat import (
     ExactMatrix,
+    build_vandermonde,
     build_vieta,
     shift_nodes,
-    vandermonde_det_closed,
     vieta_det_closed,
     vieta_extension_poly,
 )
@@ -93,8 +93,20 @@ def trial_rng(seed: int, identity: str, trial: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def random_rational(rng: random.Random, bound: int) -> Rational:
+def random_rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _random_size(rng: random.Random, cfg: VerifyConfig, *, min_n: int = 1, cap: int | None = None) -> int:
+    """Draw a size within the config's range.
+
+    `min_n` raises the low end for identities that need it (e.g. swaps
+    need two nodes); `cap` lowers the high end for expensive oracles.
+    `min_n` wins when the two cross.
+    """
+    hi = cfg.n_hi if cap is None else min(cfg.n_hi, cap)
+    lo = max(min_n, min(cfg.n_lo, hi))
+    return rng.randint(lo, max(lo, hi))
 
 
 def random_node_set(
@@ -105,18 +117,12 @@ def random_node_set(
     cap: int | None = None,
     distinct: bool = False,
 ) -> NodeSet:
-    """Draw a random node set within the config's ranges.
-
-    `min_n` raises the low end for identities that need it (e.g. swaps
-    need two nodes); `cap` lowers the high end for expensive oracles.
-    """
-    hi = cfg.n_hi if cap is None else min(cfg.n_hi, cap)
-    lo = max(min_n, min(cfg.n_lo, hi))
-    hi = max(lo, hi)
-    n = rng.randint(lo, hi)
+    """Draw a random node set within the config's ranges; `min_n` and
+    `cap` bound its size as in `_random_size`."""
+    n = _random_size(rng, cfg, min_n=min_n, cap=cap)
     if not distinct:
         return NodeSet(tuple(random_rational(rng, cfg.coeff_bound) for _ in range(n)))
-    values: list[Rational] = []
+    values: list[Fraction] = []
     for _ in range(n):
         value = random_rational(rng, cfg.coeff_bound)
         attempts = 0
@@ -145,7 +151,7 @@ def _distinct_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _esp_bruteforce(values: tuple[Rational, ...], k: int) -> Rational:
+def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
     """Sum over all k-subsets of the product of their elements."""
     if k == 0:
         return Fraction(1)
@@ -188,11 +194,12 @@ def _check_corollary1(rng, cfg):
 
 
 def _check_sign_bridge(rng, cfg):
-    """The two product orientations differ by (-1)^{n(n-1)/2}."""
+    """Elimination on the power matrix gives (-1)^{n(n-1)/2} times the
+    closed form: the sign between the two product orientations."""
     ns = random_node_set(rng, cfg)
     n = len(ns)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if vieta_det_closed(ns) != sign * vandermonde_det_closed(ns):
+    if vieta_det_closed(ns) != sign * det_bareiss(build_vandermonde(ns)):
         return serialize_nodes(ns)
     return None
 
@@ -328,8 +335,7 @@ def _check_jacobian(rng, cfg):
 def _check_oracle_agreement(rng, cfg):
     """Cofactor expansion and fraction-free elimination agree on random
     matrices.  Counterexamples serialize the entries row-major."""
-    hi = max(1, min(cfg.n_hi, 6))
-    n = rng.randint(min(cfg.n_lo, hi), hi)
+    n = _random_size(rng, cfg, cap=6)
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
     if det_laplace(matrix) != det_bareiss(matrix):
         return tuple(render_rational(e) for row in matrix.entries for e in row)
@@ -339,8 +345,7 @@ def _check_oracle_agreement(rng, cfg):
 def _check_multilinearity(rng, cfg):
     """Row scaling scales, row swaps negate, det(I) = 1, duplicate rows
     give 0 — for both oracles.  Counterexamples serialize row-major."""
-    hi = max(2, min(cfg.n_hi, 6))
-    n = rng.randint(max(2, min(cfg.n_lo, hi)), hi)
+    n = _random_size(rng, cfg, min_n=2, cap=6)
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
     flat = tuple(render_rational(e) for row in matrix.entries for e in row)
     base_l, base_b = det_laplace(matrix), det_bareiss(matrix)
@@ -403,10 +408,6 @@ IDENTITIES = {
     "multilinearity": _check_multilinearity,
     "roundtrip": _check_roundtrip,
 }
-
-
-def identity_names() -> tuple[str, ...]:
-    return tuple(IDENTITIES)
 
 
 def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> VerifyReport:

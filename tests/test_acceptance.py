@@ -19,9 +19,9 @@ from vietamat.calculus import (
 )
 from vietamat.exactdet import det_bareiss, det_laplace
 from vietamat.structmat import (
+    build_vandermonde,
     build_vieta,
     shift_nodes,
-    vandermonde_det_closed,
     vieta_det_closed,
     vieta_extension_poly,
 )
@@ -186,14 +186,15 @@ def test_criterion_7_jacobian():
 
 
 def test_criterion_8_sign_bridge():
-    """Closed form equals (-1)^{n(n-1)/2} times the power-matrix product."""
+    """Closed form equals (-1)^{n(n-1)/2} times the power matrix's
+    determinant by cofactor expansion."""
     with criterion(8, "orientation sign bridge, 200 node sets"):
         cfg = VerifyConfig(n_lo=1, n_hi=8, coeff_bound=50)
         for trial in range(200):
             ns = random_node_set(trial_rng(1008, "bridge", trial), cfg)
             n = len(ns)
             sign = -1 if (n * (n - 1) // 2) % 2 else 1
-            assert vieta_det_closed(ns) == sign * vandermonde_det_closed(ns)
+            assert vieta_det_closed(ns) == sign * det_laplace(build_vandermonde(ns))
 
 
 def test_criterion_9_verify_determinism():

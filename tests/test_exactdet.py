@@ -124,14 +124,16 @@ def test_non_square_rejected():
         det_bareiss(m)
 
 
-def test_laplace_size_guard():
+def test_laplace_size_guard(monkeypatch):
     n = DEFAULT_LAPLACE_MAX + 1
     big = ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
     with pytest.raises(LaplaceSizeError):
         det_laplace(big)
-    assert det_laplace(big, max_size=n) == 1
+    monkeypatch.setenv(LAPLACE_MAX_ENV, str(n))
+    assert det_laplace(big) == 1
+    monkeypatch.setenv(LAPLACE_MAX_ENV, "4")
     with pytest.raises(LaplaceSizeError):
-        det_laplace(big, max_size=4)
+        det_laplace(big)
 
 
 def test_laplace_guard_env_override(monkeypatch):

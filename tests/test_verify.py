@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+from vietamat import structmat, verify
 from vietamat.verify import (
     IDENTITIES,
     NodeGenerationError,
     UnknownIdentityError,
     VerifyConfig,
-    identity_names,
     random_node_set,
     run_identity,
     run_suite,
@@ -125,12 +125,24 @@ def test_failure_accounting(monkeypatch):
 def test_run_suite_all_covers_registry():
     cfg = VerifyConfig(n_lo=1, n_hi=3, coeff_bound=8)
     reports = run_suite("all", 2, 5, cfg)
-    assert tuple(r.identity for r in reports) == identity_names()
+    assert [r.identity for r in reports] == list(IDENTITIES)
     assert all(r.failures == 0 for r in reports)
 
 
-@pytest.mark.parametrize("name", identity_names())
+@pytest.mark.parametrize("name", list(IDENTITIES))
 def test_each_identity_passes_briefly(name):
     cfg = VerifyConfig(n_lo=1, n_hi=5, coeff_bound=20)
     report = run_identity(name, 10, 1234, cfg)
     assert report.failures == 0, report.first_counterexample
+
+
+def test_sign_bridge_sees_a_wrong_power_matrix(monkeypatch):
+    """Reversing the rows multiplies the determinant by the bridge sign
+    itself, so every size n = 2, 3 (mod 4) with distinct nodes fails."""
+
+    def reversed_rows(ns):
+        return structmat.ExactMatrix(structmat.build_vandermonde(ns).entries[::-1])
+
+    monkeypatch.setattr(verify, "build_vandermonde", reversed_rows)
+    report = run_identity("sign_bridge", 100, 0, VerifyConfig())
+    assert report.failures > 0
