@@ -59,6 +59,8 @@ def run_bench(
     seed: int = 0,
 ) -> list[BenchRecord]:
     """One record per (n, method, repeat), in that nesting order."""
+    if not n_values or not methods:
+        raise ValueError("benchmark needs at least one size and one method")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     if entry_bits < 1:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .structmat import ExactMatrix, build_vieta, vieta_det_closed
+from .structmat import ExactMatrix, build_vandermonde, build_vieta, vandermonde_det_closed, vieta_det_closed
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_table
 
 
@@ -95,3 +95,13 @@ def wronskian_closed(ns: NodeSet) -> Fraction:
 # names stay; the kernels are the Vieta ones.
 jacobian_matrix = build_vieta
 jacobian_det_closed = vieta_det_closed
+
+
+# The one kind -> (build(nodes, at), closed(nodes)) table, read by the CLI
+# and by verify; `at` matters only for wronskian.
+KINDS = {
+    "vieta": (lambda ns, at: build_vieta(ns), vieta_det_closed),
+    "vandermonde": (lambda ns, at: build_vandermonde(ns), vandermonde_det_closed),
+    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(ns), at), wronskian_closed),
+    "jacobian": (lambda ns, at: jacobian_matrix(ns), jacobian_det_closed),
+}

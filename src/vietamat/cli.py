@@ -14,32 +14,12 @@ import sys
 from pathlib import Path
 
 from .bench import METHODS, run_bench
-from .calculus import (
-    jacobian_det_closed,
-    jacobian_matrix,
-    nodal_basis,
-    wronskian_closed,
-    wronskian_matrix,
-)
+from .calculus import KINDS
 from .exactdet import ORACLES, LaplaceSizeError, laplace_size_limit
 from .matio import load_nodes_file, matrix_to_csv, matrix_to_json, parse_nodes_text
 from .rational import parse_rational, render_rational
-from .structmat import (
-    build_vandermonde,
-    build_vieta,
-    vandermonde_det_closed,
-    vieta_det_closed,
-)
 from .sympoly import NodeSet
 from .verify import VerifyConfig, run_suite
-
-# kind -> (build(nodes, at), closed(nodes)); `at` matters only for wronskian.
-KINDS = {
-    "vieta": (lambda ns, at: build_vieta(ns), vieta_det_closed),
-    "vandermonde": (lambda ns, at: build_vandermonde(ns), vandermonde_det_closed),
-    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(ns), at), wronskian_closed),
-    "jacobian": (lambda ns, at: jacobian_matrix(ns), jacobian_det_closed),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,6 @@ def det_laplace(m: ExactMatrix) -> Fraction:
     for term.  Sizes beyond the guard (default 8, env-overridable) raise
     LaplaceSizeError rather than silently switching algorithm.
     """
-    _require_square(m, "det_laplace")
     limit = laplace_size_limit()
     n = m.n_rows
     if n > limit:
@@ -105,7 +104,6 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     previous pivot (Bareiss 1968); that is asserted on every input
     (unless Python runs with -O).
     """
-    _require_square(m, "det_bareiss")
     n = m.n_rows
     col_lcms = [lcm(*(row[j].denominator for row in m.entries)) for j in range(n)]
     a = [
@@ -136,8 +134,3 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
 
 
 ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}
-
-
-def _require_square(m: ExactMatrix, where: str) -> None:
-    if not m.is_square:
-        raise ValueError(f"{where} needs a square matrix, got {m.n_rows}x{m.n_cols}")

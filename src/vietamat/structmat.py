@@ -19,21 +19,18 @@ from .sympoly import DensePolynomial, NodeSet, leave_one_out_table, poly_from_ro
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix of exact rationals, row-major, dimensions >= 1.
+    """Square dense matrix of exact rationals, row-major, at least 1x1.
 
-    Construction permits rectangular shapes; the determinant routines
-    reject anything non-square.
+    Any other shape raises ValueError, so the `matio` JSON/CSV readers
+    reject non-square text too.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be at least 1x1")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("matrix rows must all have the same length")
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square and at least 1x1")
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -43,14 +40,6 @@ class ExactMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
 
 
 def build_vieta(ns: NodeSet) -> ExactMatrix:

@@ -21,13 +21,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import jacobian_det_closed, jacobian_matrix, nodal_basis, wronskian_closed, wronskian_matrix
+from .calculus import KINDS, jacobian_matrix, nodal_basis
 from .exactdet import det_bareiss, det_laplace, laplace_size_limit
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
 from .structmat import (
     ExactMatrix,
-    build_vandermonde,
     build_vieta,
     shift_nodes,
     vieta_det_closed,
@@ -169,16 +168,21 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 # offending input serialized as rational strings on failure.
 
 
+def _closed_form_holds(kind: str, ns: NodeSet, at: Fraction = Fraction(0)) -> bool:
+    """The kind's closed form in `KINDS` equals Bareiss on its matrix, and
+    Laplace too within the Laplace guard.  Draws nothing from any RNG."""
+    build, closed = KINDS[kind]
+    value = closed(ns)
+    matrix = build(ns, at)
+    if det_bareiss(matrix) != value:
+        return False
+    return len(ns) > laplace_size_limit() or det_laplace(matrix) == value
+
+
 def _check_theorem1(rng, cfg):
     """Closed product formula equals both determinant oracles."""
     ns = random_node_set(rng, cfg)
-    closed = vieta_det_closed(ns)
-    matrix = build_vieta(ns)
-    if det_bareiss(matrix) != closed:
-        return serialize_nodes(ns)
-    if len(ns) <= laplace_size_limit() and det_laplace(matrix) != closed:
-        return serialize_nodes(ns)
-    return None
+    return None if _closed_form_holds("vieta", ns) else serialize_nodes(ns)
 
 
 def _check_corollary1(rng, cfg):
@@ -194,14 +198,11 @@ def _check_corollary1(rng, cfg):
 
 
 def _check_sign_bridge(rng, cfg):
-    """Elimination on the power matrix gives (-1)^{n(n-1)/2} times the
-    closed form: the sign between the two product orientations."""
+    """Both oracles on the power matrix give its closed form, which is
+    (-1)^{n(n-1)/2} times theorem 1's: the sign between the two product
+    orientations."""
     ns = random_node_set(rng, cfg)
-    n = len(ns)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if vieta_det_closed(ns) != sign * det_bareiss(build_vandermonde(ns)):
-        return serialize_nodes(ns)
-    return None
+    return None if _closed_form_holds("vandermonde", ns) else serialize_nodes(ns)
 
 
 def _check_antisymmetry(rng, cfg):
@@ -299,11 +300,8 @@ def _check_wronskian(rng, cfg):
     """Wronskian determinant is probe-independent and matches the
     factorial-scaled closed form."""
     ns = random_node_set(rng, cfg, cap=6, distinct=True)
-    basis = nodal_basis(ns)
-    closed = wronskian_closed(ns)
     for _ in range(3):
-        x0 = random_rational(rng, cfg.coeff_bound)
-        if det_bareiss(wronskian_matrix(basis, x0)) != closed:
+        if not _closed_form_holds("wronskian", ns, random_rational(rng, cfg.coeff_bound)):
             return serialize_nodes(ns)
     return None
 
@@ -312,10 +310,10 @@ def _check_jacobian(rng, cfg):
     """Determinant matches the closed form; every partial equals its
     symmetric difference quotient, so the matrix is the e_k grid."""
     point = random_node_set(rng, cfg, cap=8)
+    if not _closed_form_holds("jacobian", point):
+        return serialize_nodes(point)
     n = len(point)
     matrix = jacobian_matrix(point)
-    if det_bareiss(matrix) != jacobian_det_closed(point):
-        return serialize_nodes(point)
     h = Fraction(1, 7)
     for c in range(n):
         plus = list(point.nodes)
@@ -410,14 +408,18 @@ IDENTITIES = {
 }
 
 
-def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> VerifyReport:
-    """Run one identity's randomized trials and aggregate a report."""
+def _identity(name: str):
     try:
-        check = IDENTITIES[name]
+        return IDENTITIES[name]
     except KeyError:
         raise UnknownIdentityError(
             f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}"
         ) from None
+
+
+def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> VerifyReport:
+    """Run one identity's randomized trials and aggregate a report."""
+    check = _identity(name)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not (0 <= seed <= MAX_SEED):
@@ -436,14 +438,11 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
 
 
 def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> list[VerifyReport]:
-    """Run a list of identities, or every identity for "all"."""
-    if names == "all" or names == ["all"]:
-        selected = list(IDENTITIES)
-    else:
-        selected = list(names)
-        for name in selected:
-            if name not in IDENTITIES:
-                raise UnknownIdentityError(
-                    f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}"
-                )
+    """Run a list of identities, or every identity for "all".  Every name
+    is checked before any identity runs; an empty list is an error."""
+    selected = list(IDENTITIES) if names == "all" or names == ["all"] else list(names)
+    if not selected:
+        raise ValueError("no identities selected")
+    for name in selected:
+        _identity(name)
     return [run_identity(name, trials, seed, cfg) for name in selected]

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from vietamat.cli import main
 from vietamat.exactdet import LAPLACE_MAX_ENV
 from vietamat.verify import IDENTITIES
@@ -196,6 +198,24 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
     assert "unknown identity" in err
+    # every name is checked before any identity runs
+    code, out, err = run(capsys, "verify", "--suite", "theorem1,nope")
+    assert (code, out) == (2, "")
+    assert "unknown identity" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--suite", ","),
+        ("bench", "--n", ",", "--methods", "closed"),
+        ("bench", "--n", "4", "--methods", ","),
+    ],
+)
+def test_empty_lists_are_input_errors(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_verify_bad_n_range(capsys):

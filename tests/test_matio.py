@@ -83,11 +83,11 @@ def test_matrix_csv_shape():
 
 
 def test_matrix_csv_fractions():
-    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-3)]])
-    assert matrix_to_csv(m) == "1/2,-3\n"
+    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-3)], [0, Fraction(7, 5)]])
+    assert matrix_to_csv(m) == "1/2,-3\n0,7/5\n"
 
 
-@pytest.mark.parametrize("bad", ["", "nonsense", '{"a": 1}', "[[1, 2]]"])
+@pytest.mark.parametrize("bad", ["", "nonsense", '{"a": 1}', "[[1, 2]]", '[["1", "2"]]'])
 def test_matrix_from_json_errors(bad):
     with pytest.raises(MatrixFormatError):
         matrix_from_json(bad)
@@ -100,17 +100,18 @@ def test_matrix_from_csv_errors():
         matrix_from_csv("1,x\n")
     with pytest.raises(MatrixFormatError):
         matrix_from_csv("1,2\n3\n")
+    with pytest.raises(MatrixFormatError):
+        matrix_from_csv("1,2\n")
 
 
-@given(rows=st.integers(min_value=1, max_value=5), data=st.data())
-def test_cross_format_roundtrip(rows, data):
+@given(n=st.integers(min_value=1, max_value=5), data=st.data())
+def test_cross_format_roundtrip(n, data):
     """JSON and CSV renderings parse back to the identical matrix."""
-    cols = data.draw(st.integers(min_value=1, max_value=5))
     entries = data.draw(
         st.lists(
-            st.lists(rationals, min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
+            st.lists(rationals, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
         )
     )
     m = ExactMatrix.from_rows(entries)

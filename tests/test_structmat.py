@@ -26,13 +26,16 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         ExactMatrix(((Fraction(1),), (Fraction(1), Fraction(2))))
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.n_rows == 2 and m.n_cols == 2 and m.is_square
     assert m.entries[1] == (3, 4)
 
 
-def test_matrix_permits_rectangular():
-    m = ExactMatrix.from_rows([[1, 2, 3]])
-    assert not m.is_square
+def test_matrix_rejects_rectangular():
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix.from_rows([[1, 2, 3]])
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix.from_rows([[1], [2]])
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix(((),))
 
 
 def test_build_vieta_symbolic_two_nodes():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vietamat import structmat, verify
+from vietamat import calculus, structmat, verify
 from vietamat.verify import (
     IDENTITIES,
     NodeGenerationError,
@@ -140,9 +140,33 @@ def test_sign_bridge_sees_a_wrong_power_matrix(monkeypatch):
     """Reversing the rows multiplies the determinant by the bridge sign
     itself, so every size n = 2, 3 (mod 4) with distinct nodes fails."""
 
-    def reversed_rows(ns):
+    def reversed_rows(ns, at):
         return structmat.ExactMatrix(structmat.build_vandermonde(ns).entries[::-1])
 
-    monkeypatch.setattr(verify, "build_vandermonde", reversed_rows)
+    monkeypatch.setitem(calculus.KINDS, "vandermonde", (reversed_rows, structmat.vandermonde_det_closed))
     report = run_identity("sign_bridge", 100, 0, VerifyConfig())
     assert report.failures > 0
+
+
+CLOSED_FORM_IDENTITIES = [
+    ("theorem1", "vieta"),
+    ("sign_bridge", "vandermonde"),
+    ("wronskian", "wronskian"),
+    ("jacobian", "jacobian"),
+]
+
+
+@pytest.mark.parametrize("identity, kind", CLOSED_FORM_IDENTITIES)
+def test_identity_checks_the_tables_closed_form(monkeypatch, identity, kind):
+    build, closed = calculus.KINDS[kind]
+    monkeypatch.setitem(calculus.KINDS, kind, (build, lambda ns: closed(ns) + 1))
+    report = run_identity(identity, 20, 0, VerifyConfig())
+    assert report.failures == report.trials
+
+
+def test_closed_form_identities_run_laplace(monkeypatch):
+    laplace = verify.det_laplace
+    monkeypatch.setattr(verify, "det_laplace", lambda m: laplace(m) + 1)
+    for identity, _ in CLOSED_FORM_IDENTITIES:
+        report = run_identity(identity, 20, 0, VerifyConfig())
+        assert report.failures == report.trials, identity
