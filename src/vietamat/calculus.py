@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .structmat import ExactMatrix, build_vandermonde, build_vieta, vandermonde_det_closed, vieta_det_closed
-from .sympoly import DensePolynomial, NodeSet, leave_one_out_table
+from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled
 
 
 def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
@@ -23,63 +23,67 @@ def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
     polys[j] = prod_{i != j} (x - a_i), of degree n - 1.  With distinct
     nodes, polys[j] vanishes at every node except node j.
 
-    The coefficient of x^{n-1-k} in polys[j] is (-1)^k times entry
-    (k, j) of `leave_one_out_table`, so the basis costs one O(n^2) table
-    and a sign flip per entry.  For a single node the basis is the
+    The coefficient of x^{n-1-k} in polys[j] is (-1)^k e_k of the nodes
+    without node j, so polys[j] is column j of `leave_one_out_scaled`,
+    reversed and sign-flipped, over the same denominator: one O(n^2)
+    integer table and no Fraction.  For a single node the basis is the
     constant polynomial 1 (empty product).
     """
-    signed = [[-e if k % 2 else e for e in row] for k, row in enumerate(leave_one_out_table(ns))]
-    signed.reverse()
-    return tuple(DensePolynomial(column) for column in zip(*signed))
+    columns, denominators = leave_one_out_scaled(ns)
+    n = len(ns)
+    return tuple(
+        DensePolynomial.from_scaled([-e if (n - 1 - m) % 2 else e for m, e in enumerate(reversed(column))], d)
+        for column, d in zip(columns, denominators)
+    )
 
 
 def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
     """Formal derivative iterated `order` times; order 0 returns p."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    coeffs = p.coefficients
+    numerators = p.numerators
     for _ in range(order):
-        coeffs = tuple(k * c for k, c in enumerate(coeffs) if k > 0)
-    return DensePolynomial(coeffs)
+        numerators = tuple(k * c for k, c in enumerate(numerators) if k > 0)
+    return DensePolynomial.from_scaled(numerators, p.denominator)
 
 
 def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:
     """Matrix with entry (r, j) = r-th derivative of polys[j] at x0.
 
     Works for any polynomial family, of any degree.  Column j comes from
-    one integer Taylor shift of polys[j] by x0 = u / v: with D the
-    common coefficient denominator and d the degree, the integer
-    polynomial G(y) = D v^d p(y / v) is shifted to G(u + s) by Horner
-    steps (von zur Gathen & Gerhard, ISSAC 1997), whose coefficient h_r
-    gives p^(r)(x0) = r! h_r / (D v^(d-r)), reduced once.  O(d^2)
-    integer steps per column.  An empty family is rejected, as any empty
-    matrix is.
+    one integer Taylor shift of polys[j] by x0 = u / v: with D its
+    denominator and d its degree, the integer polynomial
+    G(y) = D v^d p(y / v) is shifted to G(u + s) by Horner steps (von zur
+    Gathen & Gerhard, ISSAC 1997), whose coefficient h_r gives
+    p^(r)(x0) = r! h_r v^r / (D v^d): the column is ints over D v^d,
+    with nothing reduced.  O(d^2) integer steps per column.  An empty
+    family is rejected, as any empty matrix is.
     """
     n = len(basis)
     x0 = Fraction(x0)
     columns = [_taylor_derivatives(p, x0.numerator, x0.denominator, n) for p in basis]
-    return ExactMatrix(tuple(zip(*columns)))
+    return ExactMatrix.from_scaled(zip(*(column for column, _ in columns)), [d for _, d in columns])
 
 
-def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> list[Fraction]:
-    """[p(x0), p'(x0), ..., p^(count-1)(x0)] at x0 = u / v."""
-    coeffs = p.coefficients
+def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> tuple[list[int], int]:
+    """[p(x0), p'(x0), ..., p^(count-1)(x0)] at x0 = u / v, as ints over
+    one denominator."""
+    coeffs = p.numerators
     d = len(coeffs) - 1
-    out = [Fraction(0)] * count
-    denom = math.lcm(*(c.denominator for c in coeffs))
+    out = [0] * count
     v_pow = [1]
     for _ in range(d):
         v_pow.append(v_pow[-1] * v)
-    g = [c.numerator * (denom // c.denominator) * v_pow[d - m] for m, c in enumerate(coeffs)]
+    g = [c * v_pow[d - m] for m, c in enumerate(coeffs)]
     if u:
         for i in range(d):
             for k in range(d - 1, i - 1, -1):
                 g[k] += u * g[k + 1]
     factorial = 1
     for r in range(min(d + 1, count)):
-        out[r] = Fraction(factorial * g[r], denom * v_pow[d - r])
+        out[r] = factorial * g[r] * v_pow[r]
         factorial *= r + 1
-    return out
+    return out, p.denominator * v_pow[-1]
 
 
 def wronskian_closed(ns: NodeSet) -> Fraction:

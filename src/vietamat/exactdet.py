@@ -5,12 +5,12 @@ library: cofactor expansion (no elimination ideas at all) and
 fraction-free elimination.  A bug would have to strike both the product
 formula and two unrelated determinant routes identically to go unnoticed.
 
-Both run on plain ints.  Each clears the denominators once by scaling its
-own axis to integers, runs its algorithm, and divides by the scale once
-at the end: det_laplace scales rows, det_bareiss scales columns.  The two
-scaling steps share no code, so a bug in one cannot hide in both.  The
-scale depends on the denominators alone; neither oracle knows the
-matrix's structure.
+Both run on plain ints and divide by a scale once at the end.
+det_laplace clears each row of `entries` to its lcm itself; det_bareiss
+starts from the matrix's stored column scale (`ExactMatrix.numerators`
+over `denominators`).  The two scalings share no code, so a bug in one
+cannot hide in both.  The scale depends on the denominators alone;
+neither oracle knows the matrix's structure.
 """
 
 from __future__ import annotations
@@ -95,21 +95,17 @@ def det_laplace(m: ExactMatrix) -> Fraction:
 def det_bareiss(m: ExactMatrix) -> Fraction:
     """Determinant by fraction-free elimination with row pivoting.
 
-    Each column is first multiplied by the lcm of its denominators, so
-    the elimination runs on ints and the result is divided by the product
-    of those lcms once.  Columns, not rows: the row lcms of a power
-    matrix multiply up to (prod q)^(n(n-1)/2), the column lcms only to
+    Runs on the matrix's stored int numerators, whose columns are
+    already scaled to ints, and divides by the product of the column
+    denominators once.  Columns, not rows: the row lcms of a power
+    matrix multiply up to (prod q)^(n(n-1)/2), the column scales only to
     (prod q)^(n-1).  Pivots on the first nonzero entry in each column,
     counting swaps for the sign.  Every step divides exactly by the
     previous pivot (Bareiss 1968); that is asserted on every input
     (unless Python runs with -O).
     """
     n = m.n_rows
-    col_lcms = [lcm(*(row[j].denominator for row in m.entries)) for j in range(n)]
-    a = [
-        [e.numerator * (d // e.denominator) for e, d in zip(row, col_lcms)]
-        for row in m.entries
-    ]
+    a = [list(row) for row in m.numerators]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -130,7 +126,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
                 row_i[j] = q
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], prod(col_lcms))
+    return Fraction(sign * a[n - 1][n - 1], prod(m.denominators))
 
 
 ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}

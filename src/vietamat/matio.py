@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .rational import RationalParseError, parse_rational, render_rational
+from .rational import RationalParseError, parse_rational, render_ratio, render_rational
 from .structmat import ExactMatrix
 from .sympoly import NodeSet
 
@@ -73,12 +73,18 @@ def serialize_nodes(ns: NodeSet) -> tuple[str, ...]:
 
 def matrix_to_json(m: ExactMatrix) -> str:
     """Matrix as a JSON array of arrays of rational strings."""
-    return json.dumps([[render_rational(e) for e in row] for row in m.entries])
+    return json.dumps(_rendered_rows(m))
 
 
 def matrix_to_csv(m: ExactMatrix) -> str:
     """Matrix as CSV: one row per line, no trailing comma."""
-    return "".join(",".join(render_rational(e) for e in row) + "\n" for row in m.entries)
+    return "".join(",".join(row) + "\n" for row in _rendered_rows(m))
+
+
+def _rendered_rows(m: ExactMatrix) -> list[list[str]]:
+    # Straight from the stored ints: one gcd per entry, no Fraction.
+    denominators = m.denominators
+    return [[render_ratio(e, d) for e, d in zip(row, denominators)] for row in m.numerators]
 
 
 def matrix_from_json(text: str) -> ExactMatrix:

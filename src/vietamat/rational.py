@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _WIRE_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
 
@@ -46,6 +47,22 @@ def parse_rational(text: str) -> Fraction:
 
 
 def render_rational(value: Fraction) -> str:
-    """Canonical wire text: "n" for integers, "n/d" otherwise."""
-    return str(Fraction(value))
+    """Canonical wire text: "n" for integers, "n/d" otherwise.
+
+    `value` is a Fraction or an int, so it is already in lowest terms and
+    no gcd is taken again.
+    """
+    return _wire(value.numerator, value.denominator)
+
+
+def render_ratio(numerator: int, denominator: int) -> str:
+    """Canonical wire text of numerator / denominator, for ints with
+    denominator >= 1: one gcd, then the text render_rational gives for the
+    same value, without making a Fraction."""
+    g = gcd(numerator, denominator)
+    return _wire(numerator // g, denominator // g)
+
+
+def _wire(numerator: int, denominator: int) -> str:
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 

@@ -10,44 +10,92 @@ prod_{k>i} (a_k - a_i), and the two products differ exactly by the sign
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
-from .sympoly import DensePolynomial, NodeSet, leave_one_out_table, poly_from_roots
+from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, poly_from_roots
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Square dense matrix of exact rationals, row-major, at least 1x1.
+    """Square dense matrix of exact rationals, at least 1x1.
 
-    Any other shape raises ValueError, so the `matio` JSON/CSV readers
-    reject non-square text too.
+    Stored as int `numerators`, row-major, over one `denominators[j]` >= 1
+    per column: entry (r, j) is numerators[r][j] / denominators[j], and
+    the scale need not be the least one.  `entries`, the canonical
+    Fraction rows, is made on first read; equality compares values, not
+    scales.  Treat instances as immutable.
+
+    `ExactMatrix(rows)` takes any rationals and clears each column to its
+    lcm once; `from_scaled` takes the integer form from the builders.
+    Any shape but square raises ValueError, so the `matio` JSON/CSV
+    readers reject non-square text too.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
-        if not rows or any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square and at least 1x1")
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, rows: Iterable[Iterable[Fraction]]):
+        rows = [[Fraction(e) for e in row] for row in rows]
+        _require_square(rows)
+        denominators = [lcm(*(e.denominator for e in column)) for column in zip(*rows)]
+        self._store(
+            [[e.numerator * (d // e.denominator) for e, d in zip(row, denominators)] for row in rows], denominators
+        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
+
+    @classmethod
+    def from_scaled(cls, numerators: Iterable[Iterable[int]], denominators: Iterable[int]) -> "ExactMatrix":
+        """The matrix with entry (r, j) = numerators[r][j] / denominators[j];
+        raises ValueError unless the numerators are a square grid of ints
+        and there is one int >= 1 per column."""
+        m = cls.__new__(cls)
+        m._store(numerators, denominators)
+        return m
+
+    def _store(self, numerators, denominators) -> None:
+        numerators = tuple(tuple(row) for row in numerators)
+        denominators = tuple(denominators)
+        _require_square(numerators)
+        if not all(type(e) is int for row in numerators for e in row):
+            raise ValueError("matrix numerators must be ints")
+        if len(denominators) != len(numerators) or not all(type(d) is int and d >= 1 for d in denominators):
+            raise ValueError("a matrix needs one int denominator >= 1 per column")
+        self.numerators = numerators
+        self.denominators = denominators
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(e, d) for e, d in zip(row, self.denominators)) for row in self.numerators)
 
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return len(self.numerators)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, ExactMatrix) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"ExactMatrix({self.entries!r})"
+
+
+def _require_square(rows) -> None:
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square and at least 1x1")
 
 
 def build_vieta(ns: NodeSet) -> ExactMatrix:
     """n x n matrix with entry (r, j) = e_r of the nodes omitting node j.
 
-    Row 0 is all ones; a single node gives [[1]].
+    Row 0 is all ones; a single node gives [[1]].  Column j keeps the
+    integer kernel's denominator Q / q_j (see `leave_one_out_scaled`).
     """
-    return ExactMatrix(leave_one_out_table(ns))
+    columns, denominators = leave_one_out_scaled(ns)
+    return ExactMatrix.from_scaled(zip(*columns), denominators)
 
 
 def vieta_det_closed(ns: NodeSet) -> Fraction:
@@ -71,12 +119,20 @@ def vieta_det_closed(ns: NodeSet) -> Fraction:
 
 
 def build_vandermonde(ns: NodeSet) -> ExactMatrix:
-    """n x n power matrix with entry (r, j) = a_j ** r, r = 0..n-1."""
+    """n x n power matrix with entry (r, j) = a_j ** r, r = 0..n-1.
+
+    With a_j = p_j / q_j, column j is p_j^r q_j^(n-1-r) over q_j^(n-1).
+    """
     n = len(ns)
-    rows = [[Fraction(1)] * n]
-    for _ in range(1, n):
-        rows.append([p * a for p, a in zip(rows[-1], ns.nodes)])
-    return ExactMatrix(tuple(tuple(row) for row in rows))
+    columns = []
+    for a in ns:
+        p, q = a.numerator, a.denominator
+        p_pow, q_pow = [1], [1]
+        for _ in range(1, n):
+            p_pow.append(p_pow[-1] * p)
+            q_pow.append(q_pow[-1] * q)
+        columns.append([pr * qr for pr, qr in zip(p_pow, reversed(q_pow))])
+    return ExactMatrix.from_scaled(zip(*columns), [column[0] for column in columns])
 
 
 def vandermonde_det_closed(ns: NodeSet) -> Fraction:

@@ -3,14 +3,16 @@ dense univariate polynomials.
 
 Indexing convention, used everywhere downstream: node lists are 0-based,
 and column j of a leave-one-out grid describes the multiset with node j
-omitted.  Polynomial coefficients are stored in ascending degree; the
-empty tuple is the zero polynomial.
+omitted.  Polynomial coefficients are stored in ascending degree, as
+ints over one denominator; no numerators at all is the zero polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator
 
 
@@ -45,58 +47,100 @@ class NodeSet:
         return self.nodes[:index] + self.nodes[index + 1:]
 
 
-@dataclass(frozen=True)
 class DensePolynomial:
     """Univariate polynomial with exact coefficients, ascending degree.
 
-    Trailing zeros are trimmed at construction, so a nonzero polynomial
-    always has a nonzero leading coefficient and the zero polynomial is
-    uniquely the empty tuple.
+    Stored as int `numerators` over one `denominator` >= 1: the
+    coefficient of x^m is numerators[m] / denominator, and the scale need
+    not be the least one.  Trailing zeros are trimmed at construction, so
+    a nonzero polynomial always has a nonzero leading coefficient and the
+    zero polynomial has no numerators.  `coefficients`, the canonical
+    Fractions, is made on first read; equality compares values, not
+    scales.  Treat instances as immutable.
+
+    `DensePolynomial(coefficients)` takes any rationals and clears them to
+    their lcm once; `from_scaled` takes the integer form directly.
     """
 
-    coefficients: tuple[Fraction, ...]
+    def __init__(self, coefficients: Iterable):
+        coeffs = [Fraction(c) for c in coefficients]
+        denominator = lcm(*(c.denominator for c in coeffs))
+        self._store([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
 
-    def __post_init__(self):
-        coeffs = [Fraction(c) for c in self.coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    @classmethod
+    def from_scaled(cls, numerators: Iterable[int], denominator: int) -> "DensePolynomial":
+        """The polynomial with coefficients numerators[m] / denominator;
+        raises ValueError unless the numerators are ints and the
+        denominator is an int >= 1."""
+        poly = cls.__new__(cls)
+        poly._store(numerators, denominator)
+        return poly
+
+    def _store(self, numerators: Iterable[int], denominator: int) -> None:
+        numerators = list(numerators)
+        if not all(type(c) is int for c in numerators):
+            raise ValueError("polynomial numerators must be ints")
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"polynomial denominator must be an int >= 1, got {denominator!r}")
+        while numerators and not numerators[-1]:
+            numerators.pop()
+        self.numerators = tuple(numerators)
+        self.denominator = denominator
 
     @classmethod
     def of(cls, *coefficients) -> "DensePolynomial":
-        return cls(tuple(Fraction(c) for c in coefficients))
+        return cls(coefficients)
 
     @classmethod
     def zero(cls) -> "DensePolynomial":
         return cls(())
 
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(c, d) for c in self.numerators)
+
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
+
+    def __eq__(self, other):
+        return self.coefficients == other.coefficients if isinstance(other, DensePolynomial) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __repr__(self):
+        return f"DensePolynomial({self.coefficients!r})"
 
     def __call__(self, x: Fraction) -> Fraction:
-        """Evaluate at x by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """Evaluate at x = u / v by Horner's rule on ints: the sum of
+        numerators[m] u^m v^(d-m), over denominator * v^d, reduced once."""
+        u, v = x.numerator, x.denominator
+        acc, v_pow = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * u + c * v_pow
+            v_pow *= v
+        return Fraction(acc * v, self.denominator * v_pow)
 
     def __mul__(self, other):
         if isinstance(other, DensePolynomial):
-            a, b = self.coefficients, other.coefficients
+            a, b = self.numerators, other.numerators
             if not a or not b:
                 return DensePolynomial.zero()
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-            return DensePolynomial(tuple(out))
+            return DensePolynomial.from_scaled(out, self.denominator * other.denominator)
         if isinstance(other, (int, Fraction)):
-            return DensePolynomial(tuple(Fraction(other) * c for c in self.coefficients))
+            return DensePolynomial.from_scaled(
+                [other.numerator * c for c in self.numerators], self.denominator * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -116,20 +160,18 @@ def elem_sym_all(ns: NodeSet) -> list[Fraction]:
     return e
 
 
-def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Fraction, ...], ...]:
-    """The e_k grid over every leave-one-out multiset of the nodes, as rows:
-    entry [k][j] is e_k of the nodes with node j removed.
-
-    Row 0 is all ones (empty products); column j, read with alternating
-    signs, lists the coefficients of the monic polynomial whose roots are
-    the other nodes.
+def leave_one_out_scaled(ns: NodeSet) -> tuple[list[list[int]], list[int]]:
+    """The e_k grid over every leave-one-out multiset of the nodes, in
+    ints: columns[j][k] / denominators[j] is e_k of the nodes with node j
+    removed, for k = 0..n-1.
 
     Writing a_i = p_i / q_i, the integer coefficients of
     prod_i (q_i + p_i t) are Q * e_k with Q = prod_i q_i.  Column j is
     that product divided exactly by (q_j + p_j t): synthetic division in
     integers, dividing only by q_j >= 1, so repeated or zero nodes need
-    no special casing.  Each entry is reduced once, as F / (Q / q_j).
-    O(n) integer steps per column, O(n^2) in all.
+    no special casing.  Its denominator is Q / q_j, which is also its
+    entry 0 (e_0 = 1).  Nothing is reduced.  O(n) integer steps per
+    column, O(n^2) in all.
     """
     n = len(ns)
     full = [1]
@@ -142,13 +184,25 @@ def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Fraction, ...], ...]:
     columns = []
     for a in ns:
         p, q = a.numerator, a.denominator
-        scale = prev = full[0] // q
-        column = [Fraction(1)]
+        prev = full[0] // q
+        column = [prev]
         for k in range(1, n):
             prev = (full[k] - p * prev) // q
-            column.append(Fraction(prev, scale))
+            column.append(prev)
         columns.append(column)
-    return tuple(zip(*columns))
+    return columns, [column[0] for column in columns]
+
+
+def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Fraction, ...], ...]:
+    """`leave_one_out_scaled` as canonical Fractions, in rows: entry [k][j]
+    is e_k of the nodes with node j removed.
+
+    Row 0 is all ones (empty products); column j, read with alternating
+    signs, lists the coefficients of the monic polynomial whose roots are
+    the other nodes.
+    """
+    columns, denominators = leave_one_out_scaled(ns)
+    return tuple(zip(*([Fraction(f, d) for f in column] for column, d in zip(columns, denominators))))
 
 
 def poly_from_roots(roots: Iterable[Fraction]) -> DensePolynomial:

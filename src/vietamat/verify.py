@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import KINDS, jacobian_matrix, nodal_basis
+from .calculus import KINDS, nodal_basis
 from .exactdet import det_bareiss, det_laplace, laplace_size_limit
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
@@ -168,15 +168,19 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 # offending input serialized as rational strings on failure.
 
 
-def _closed_form_holds(kind: str, ns: NodeSet, at: Fraction = Fraction(0)) -> bool:
-    """The kind's closed form in `KINDS` equals Bareiss on its matrix, and
-    Laplace too within the Laplace guard.  Draws nothing from any RNG."""
-    build, closed = KINDS[kind]
-    value = closed(ns)
-    matrix = build(ns, at)
+def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
+    """Bareiss on `matrix` equals `value`, and Laplace too within the
+    Laplace guard.  Draws nothing from any RNG."""
     if det_bareiss(matrix) != value:
         return False
-    return len(ns) > laplace_size_limit() or det_laplace(matrix) == value
+    return matrix.n_rows > laplace_size_limit() or det_laplace(matrix) == value
+
+
+def _closed_form_holds(kind: str, ns: NodeSet) -> bool:
+    """The kind's closed form in `KINDS` equals the oracles on its matrix
+    at the default point 0."""
+    build, closed = KINDS[kind]
+    return _oracles_give(closed(ns), build(ns, Fraction(0)))
 
 
 def _check_theorem1(rng, cfg):
@@ -300,8 +304,10 @@ def _check_wronskian(rng, cfg):
     """Wronskian determinant is probe-independent and matches the
     factorial-scaled closed form."""
     ns = random_node_set(rng, cfg, cap=6, distinct=True)
+    build, closed = KINDS["wronskian"]
+    value = closed(ns)
     for _ in range(3):
-        if not _closed_form_holds("wronskian", ns, random_rational(rng, cfg.coeff_bound)):
+        if not _oracles_give(value, build(ns, random_rational(rng, cfg.coeff_bound))):
             return serialize_nodes(ns)
     return None
 
@@ -310,10 +316,11 @@ def _check_jacobian(rng, cfg):
     """Determinant matches the closed form; every partial equals its
     symmetric difference quotient, so the matrix is the e_k grid."""
     point = random_node_set(rng, cfg, cap=8)
-    if not _closed_form_holds("jacobian", point):
+    build, closed = KINDS["jacobian"]
+    matrix = build(point, Fraction(0))
+    if not _oracles_give(closed(point), matrix):
         return serialize_nodes(point)
     n = len(point)
-    matrix = jacobian_matrix(point)
     h = Fraction(1, 7)
     for c in range(n):
         plus = list(point.nodes)

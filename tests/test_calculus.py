@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vietamat.calculus import (
+    KINDS,
     jacobian_det_closed,
     jacobian_matrix,
     nodal_basis,
@@ -192,3 +193,46 @@ def test_partials_match_symmetric_difference_quotient(values):
         e_minus = elem_sym_all(NodeSet(tuple(minus)))
         for r in range(1, n + 1):
             assert (e_plus[r] - e_minus[r]) / (2 * h) == m.entries[r - 1][c]
+
+
+def _naive_e(values, k):
+    """e_k as a sum over k-subsets, in Fractions."""
+    return sum((math.prod(c, start=Fraction(1)) for c in itertools.combinations(values, k)), Fraction(0))
+
+
+def _naive_wronskian_entry(rest, r, x0):
+    """r-th derivative at x0 of prod (x - a) over `rest`, with the
+    coefficients expanded, differentiated and summed in Fractions."""
+    coeffs = [Fraction(1)]
+    for a in rest:
+        padded = [Fraction(0)] + coeffs + [Fraction(0)]
+        coeffs = [padded[m] - a * padded[m + 1] for m in range(len(coeffs) + 1)]
+    return sum(
+        (math.perm(m, r) * c * x0 ** (m - r) for m, c in enumerate(coeffs) if m >= r),
+        Fraction(0),
+    )
+
+
+NAIVE_ENTRIES = {
+    "vieta": lambda ns, r, j, x0: _naive_e(ns.without(j), r),
+    "jacobian": lambda ns, r, j, x0: _naive_e(ns.without(j), r),
+    "vandermonde": lambda ns, r, j, x0: ns[j] ** r,
+    "wronskian": lambda ns, r, j, x0: _naive_wronskian_entry(ns.without(j), r, x0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@example(values=[Fraction(5, 3)], x0=Fraction(0))
+@example(values=[Fraction(0), Fraction(0), Fraction(-2, 3)], x0=Fraction(2, 3))
+@example(values=[Fraction(-3), Fraction(1, 2), Fraction(-3)], x0=Fraction(-7, 4))
+@settings(max_examples=40)
+@given(values=pooled_points, x0=rationals)
+def test_builders_match_naive_fractions(kind, values, x0):
+    """Every builder's stored ints, read as canonical Fractions, equal the
+    definition computed in Fractions: n = 1, repeated and zero nodes."""
+    ns = NodeSet(tuple(values))
+    n = len(values)
+    build, _ = KINDS[kind]
+    entries = build(ns, x0).entries
+    assert all(type(e) is Fraction for row in entries for e in row)
+    assert entries == tuple(tuple(NAIVE_ENTRIES[kind](ns, r, j, x0) for j in range(n)) for r in range(n))

@@ -295,6 +295,29 @@ def test_verify_and_bench_outputs_are_pinned(capsys):
     )
 
 
+# sha256 of `build` stdout on nodes with a negative, a zero and a repeated node.
+BUILD_NODES = "--nodes=-3/4,0,5/2,-3/4,7,1/6"
+BUILD_PINS = {
+    ("vieta", "json", "0"): "8d2a5e05d2a2ffed1e8e963a7e1a7bf351302dac9282fded4b6a4e94dcf65fab",
+    ("vieta", "csv", "0"): "fac8870ceaa6938e8f14b07773046476ed4ed88d9187bc4430e7c901ab9ad561",
+    ("vandermonde", "json", "0"): "b73bc9ecd0cd4dd5787dc7ee34aebd83125272446d7b9cdf94247bb73a6f6784",
+    ("vandermonde", "csv", "0"): "44569843a4c9c2ca7e233ce5e2f3f5938c0f7307b37704828704a77aeb191138",
+    ("wronskian", "json", "0"): "6d5e891cc6e5884743ab29b9d9d5beeb4b500b4a572b905ebf299e4974d71113",
+    ("wronskian", "csv", "0"): "074c35f5e6da90474e1c45d1627155048f4efb736bef5da38ddaf10fbc12947a",
+    ("jacobian", "json", "0"): "8d2a5e05d2a2ffed1e8e963a7e1a7bf351302dac9282fded4b6a4e94dcf65fab",
+    ("jacobian", "csv", "0"): "fac8870ceaa6938e8f14b07773046476ed4ed88d9187bc4430e7c901ab9ad561",
+    ("wronskian", "json", "2/3"): "b8b21e667ed5565dd782168bd2bcd89ba1ef993f46fa63472651041b34021bcb",
+    ("wronskian", "csv", "2/3"): "18826df649be65ab38b73d3349d5efc7758d5d8ba09ae150238bb4eb98d7a6f8",
+}
+
+
+@pytest.mark.parametrize("kind, fmt, at", sorted(BUILD_PINS))
+def test_build_output_is_pinned(capsys, kind, fmt, at):
+    code, out, _ = run(capsys, "build", kind, BUILD_NODES, "--format", fmt, f"--at={at}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_PINS[kind, fmt, at]
+
+
 def test_no_command_is_input_error(capsys):
     assert main([]) == 2
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vietamat.rational import RationalParseError, parse_rational, render_rational
+from vietamat.rational import RationalParseError, parse_rational, render_ratio, render_rational
 
 # Every scalar in the library is a Fraction, so its arithmetic is Fraction's.
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -93,3 +93,15 @@ def test_inverses(a):
 @given(r=rationals)
 def test_roundtrip(r):
     assert parse_rational(render_rational(r)) == r
+
+
+@given(numerator=st.integers(-(10**30), 10**30), denominator=st.integers(1, 10**30))
+def test_render_ratio_matches_render_rational(numerator, denominator):
+    assert render_ratio(numerator, denominator) == render_rational(Fraction(numerator, denominator))
+
+
+def test_render_ratio_reduces():
+    assert render_ratio(6, 4) == "3/2"
+    assert render_ratio(-8, 4) == "-2"
+    assert render_ratio(0, 9) == "0"
+    assert render_rational(7) == "7"

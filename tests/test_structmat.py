@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vietamat.exactdet import det_bareiss
+from vietamat.exactdet import det_bareiss, det_laplace
 from vietamat.structmat import (
     ExactMatrix,
     build_vandermonde,
@@ -36,6 +36,73 @@ def test_matrix_rejects_rectangular():
         ExactMatrix.from_rows([[1], [2]])
     with pytest.raises(ValueError, match="square"):
         ExactMatrix(((),))
+
+
+@pytest.mark.parametrize(
+    "numerators, denominators",
+    [
+        ((), ()),
+        (((1, 2),), (1, 1)),
+        (((1,), (2,)), (1,)),
+        (((1, 2), (3,)), (1, 1)),
+        (((1, Fraction(1, 2)), (3, 4)), (1, 1)),
+        (((1, 2.0), (3, 4)), (1, 1)),
+        (((1, True), (3, 4)), (1, 1)),
+        (((1, 2), (3, 4)), (1, 0)),
+        (((1, 2), (3, 4)), (-2, 1)),
+        (((1, 2), (3, 4)), (1, Fraction(2))),
+        (((1, 2), (3, 4)), (1,)),
+        (((1, 2), (3, 4)), (1, 1, 1)),
+    ],
+)
+def test_from_scaled_rejects_bad_forms(numerators, denominators):
+    with pytest.raises(ValueError):
+        ExactMatrix.from_scaled(numerators, denominators)
+
+
+def test_matrix_equality_ignores_column_scale():
+    m = ExactMatrix.from_scaled(((1, 2), (3, -4)), (3, 5))
+    twin = ExactMatrix.from_scaled(((2, 2), (6, -4)), (6, 5))
+    assert m.denominators != twin.denominators
+    assert m == twin and hash(m) == hash(twin)
+    assert m.entries == twin.entries == ((Fraction(1, 3), Fraction(2, 5)), (1, Fraction(-4, 5)))
+    assert m == ExactMatrix.from_rows(m.entries)
+    assert m != ExactMatrix.from_scaled(((1, 2), (3, -4)), (3, 7))
+
+
+def test_rational_rows_clear_each_column_to_its_lcm():
+    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 5]])
+    assert m.denominators == (4, 3)
+    assert m.numerators == ((2, 1), (1, 15))
+
+
+def test_bareiss_on_a_non_lcm_column_scale():
+    """Column denominators 6, 10, 4 are multiples of the lcms 3, 5, 2."""
+    rows = [[Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)], [1, Fraction(-3, 5), 0], [Fraction(2, 3), 1, -1]]
+    m = ExactMatrix.from_scaled(((2, 4, 2), (6, -6, 0), (4, 10, -4)), (6, 10, 4))
+    assert m.entries == tuple(tuple(Fraction(e) for e in row) for row in rows)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    canonical = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert det_bareiss(m) == det_laplace(m) == canonical == Fraction(13, 10)
+
+
+@given(
+    grid=st.lists(st.integers(-30, 30), min_size=16, max_size=16),
+    scales=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5)), min_size=4, max_size=4),
+    n=st.integers(1, 4),
+)
+def test_bareiss_ignores_how_columns_are_scaled(grid, scales, n):
+    """Scaling column j's ints and denominator by the same k_j keeps the
+    value, and Bareiss agrees with Laplace on the canonical rows."""
+    numerators = [grid[r * 4:r * 4 + n] for r in range(n)]
+    dens = [d for d, _ in scales[:n]]
+    ks = [k for _, k in scales[:n]]
+    m = ExactMatrix.from_scaled(numerators, dens)
+    inflated = ExactMatrix.from_scaled(
+        [[e * k for e, k in zip(row, ks)] for row in numerators], [d * k for d, k in zip(dens, ks)]
+    )
+    assert inflated == m
+    assert det_bareiss(inflated) == det_bareiss(m) == det_laplace(ExactMatrix.from_rows(m.entries))
 
 
 def test_build_vieta_symbolic_two_nodes():

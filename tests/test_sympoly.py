@@ -84,6 +84,26 @@ def test_polynomial_trims_and_degrees():
     assert DensePolynomial.of(3).degree == 0
 
 
+def test_scaled_polynomial_equals_its_fraction_twin():
+    p = DensePolynomial.from_scaled([2, -4, 6, 0, 0], 4)
+    twin = DensePolynomial.of(Fraction(1, 2), -1, Fraction(3, 2), 0)
+    assert p == twin and hash(p) == hash(twin)
+    assert p.coefficients == twin.coefficients == (Fraction(1, 2), -1, Fraction(3, 2))
+    assert p.numerators == (2, -4, 6) and p.degree == 2
+    assert DensePolynomial.from_scaled([0, 0], 7) == DensePolynomial.zero()
+    assert DensePolynomial.from_scaled([0, 0], 7).coefficients == ()
+    assert p != DensePolynomial.from_scaled([2, -4, 6], 3)
+
+
+@pytest.mark.parametrize(
+    "numerators, denominator",
+    [([1, Fraction(1, 2)], 1), ([1, 2.0], 1), ([1], 0), ([1], -3), ([1], Fraction(2)), ([True], 1)],
+)
+def test_scaled_polynomial_rejects_bad_forms(numerators, denominator):
+    with pytest.raises(ValueError):
+        DensePolynomial.from_scaled(numerators, denominator)
+
+
 def test_polynomial_evaluate():
     p = DensePolynomial.of(6, -5, 1)  # x^2 - 5x + 6
     assert p(Fraction(0)) == 6
