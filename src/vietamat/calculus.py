@@ -32,7 +32,7 @@ def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
     columns, denominators = leave_one_out_scaled(ns)
     n = len(ns)
     return tuple(
-        DensePolynomial.from_scaled([-e if (n - 1 - m) % 2 else e for m, e in enumerate(reversed(column))], d)
+        DensePolynomial([-e if (n - 1 - m) % 2 else e for m, e in enumerate(reversed(column))], d)
         for column, d in zip(columns, denominators)
     )
 
@@ -44,7 +44,7 @@ def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
     numerators = p.numerators
     for _ in range(order):
         numerators = tuple(k * c for k, c in enumerate(numerators) if k > 0)
-    return DensePolynomial.from_scaled(numerators, p.denominator)
+    return DensePolynomial(numerators, p.denominator)
 
 
 def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:
@@ -62,7 +62,7 @@ def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMat
     n = len(basis)
     x0 = Fraction(x0)
     columns = [_taylor_derivatives(p, x0.numerator, x0.denominator, n) for p in basis]
-    return ExactMatrix.from_scaled(zip(*(column for column, _ in columns)), [d for _, d in columns])
+    return ExactMatrix(zip(*(column for column, _ in columns)), [d for _, d in columns])
 
 
 def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> tuple[list[int], int]:

@@ -95,7 +95,7 @@ def matrix_from_json(text: str) -> ExactMatrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise MatrixFormatError("matrix JSON must be an array of arrays of rational strings")
     try:
-        return ExactMatrix(tuple(tuple(parse_rational(e) for e in row) for row in data))
+        return ExactMatrix.from_rows(tuple(tuple(parse_rational(e) for e in row) for row in data))
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"matrix JSON entries are malformed: {exc}") from None
 
@@ -105,6 +105,6 @@ def matrix_from_csv(text: str) -> ExactMatrix:
     if not lines:
         raise MatrixFormatError("matrix CSV is empty")
     try:
-        return ExactMatrix(tuple(tuple(parse_rational(e) for e in line.split(",")) for line in lines))
-    except (RationalParseError, ValueError) as exc:
+        return ExactMatrix.from_rows(tuple(tuple(parse_rational(e) for e in line.split(",")) for line in lines))
+    except ValueError as exc:
         raise MatrixFormatError(f"matrix CSV entries are malformed: {exc}") from None

@@ -27,34 +27,15 @@ class ExactMatrix:
     Fraction rows, is made on first read; equality compares values, not
     scales.  Treat instances as immutable.
 
-    `ExactMatrix(rows)` takes any rationals and clears each column to its
-    lcm once; `from_scaled` takes the integer form from the builders.
-    Any shape but square raises ValueError, so the `matio` JSON/CSV
-    readers reject non-square text too.
+    `ExactMatrix(numerators, denominators)` takes the integer form and
+    raises ValueError unless the numerators are a square grid of ints and
+    there is one int >= 1 per column; `from_rows(rows)` takes any
+    rationals and clears each column to its lcm once.  Both reject any
+    shape but square, so the `matio` JSON/CSV readers reject non-square
+    text too.
     """
 
-    def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        rows = [[Fraction(e) for e in row] for row in rows]
-        _require_square(rows)
-        denominators = [lcm(*(e.denominator for e in column)) for column in zip(*rows)]
-        self._store(
-            [[e.numerator * (d // e.denominator) for e, d in zip(row, denominators)] for row in rows], denominators
-        )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
-        return cls(rows)
-
-    @classmethod
-    def from_scaled(cls, numerators: Iterable[Iterable[int]], denominators: Iterable[int]) -> "ExactMatrix":
-        """The matrix with entry (r, j) = numerators[r][j] / denominators[j];
-        raises ValueError unless the numerators are a square grid of ints
-        and there is one int >= 1 per column."""
-        m = cls.__new__(cls)
-        m._store(numerators, denominators)
-        return m
-
-    def _store(self, numerators, denominators) -> None:
+    def __init__(self, numerators: Iterable[Iterable[int]], denominators: Iterable[int]):
         numerators = tuple(tuple(row) for row in numerators)
         denominators = tuple(denominators)
         _require_square(numerators)
@@ -64,6 +45,16 @@ class ExactMatrix:
             raise ValueError("a matrix needs one int denominator >= 1 per column")
         self.numerators = numerators
         self.denominators = denominators
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
+        rows = [[Fraction(e) for e in row] for row in rows]
+        # Before zip(*rows), which would cut ragged rows to a square.
+        _require_square(rows)
+        denominators = [lcm(*(e.denominator for e in column)) for column in zip(*rows)]
+        return cls(
+            [[e.numerator * (d // e.denominator) for e, d in zip(row, denominators)] for row in rows], denominators
+        )
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -80,7 +71,7 @@ class ExactMatrix:
         return hash(self.entries)
 
     def __repr__(self):
-        return f"ExactMatrix({self.entries!r})"
+        return f"ExactMatrix.from_rows({self.entries!r})"
 
 
 def _require_square(rows) -> None:
@@ -95,7 +86,7 @@ def build_vieta(ns: NodeSet) -> ExactMatrix:
     integer kernel's denominator Q / q_j (see `leave_one_out_scaled`).
     """
     columns, denominators = leave_one_out_scaled(ns)
-    return ExactMatrix.from_scaled(zip(*columns), denominators)
+    return ExactMatrix(zip(*columns), denominators)
 
 
 def vieta_det_closed(ns: NodeSet) -> Fraction:
@@ -103,8 +94,8 @@ def vieta_det_closed(ns: NodeSet) -> Fraction:
 
     With a_i = p_i / q_i, the integer cross differences
     p_i q_k - p_k q_i are multiplied and reduced once against
-    (prod_i q_i)^(n-1).  The empty product (n = 1) is 1; any repeated
-    node zeroes a factor.
+    (prod_i q_i)^(n-1).  The empty product (n = 1) is 1; a repeated
+    node zeroes a factor and returns 0 at once, before the costly power.
     """
     nodes = ns.nodes
     num, den = 1, 1
@@ -132,7 +123,7 @@ def build_vandermonde(ns: NodeSet) -> ExactMatrix:
             p_pow.append(p_pow[-1] * p)
             q_pow.append(q_pow[-1] * q)
         columns.append([pr * qr for pr, qr in zip(p_pow, reversed(q_pow))])
-    return ExactMatrix.from_scaled(zip(*columns), [column[0] for column in columns])
+    return ExactMatrix(zip(*columns), [column[0] for column in columns])
 
 
 def vandermonde_det_closed(ns: NodeSet) -> Fraction:
@@ -158,7 +149,7 @@ def vieta_extension_poly(ns: NodeSet) -> DensePolynomial:
 
     Closed form: (-1)^n * vieta_det_closed(ns) * prod_i (x - a_i), of
     degree n.  Repeated nodes zero the leading constant, and the zero
-    polynomial is returned.
+    polynomial is returned without building the product of the roots.
     """
     lead = vieta_det_closed(ns)
     if lead == 0:

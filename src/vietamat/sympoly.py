@@ -58,25 +58,13 @@ class DensePolynomial:
     Fractions, is made on first read; equality compares values, not
     scales.  Treat instances as immutable.
 
-    `DensePolynomial(coefficients)` takes any rationals and clears them to
-    their lcm once; `from_scaled` takes the integer form directly.
+    `DensePolynomial(numerators, denominator)` takes the integer form and
+    raises ValueError unless the numerators are ints and the denominator
+    is an int >= 1; `of(*coefficients)` takes any rationals and clears
+    them to their lcm once.
     """
 
-    def __init__(self, coefficients: Iterable):
-        coeffs = [Fraction(c) for c in coefficients]
-        denominator = lcm(*(c.denominator for c in coeffs))
-        self._store([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
-
-    @classmethod
-    def from_scaled(cls, numerators: Iterable[int], denominator: int) -> "DensePolynomial":
-        """The polynomial with coefficients numerators[m] / denominator;
-        raises ValueError unless the numerators are ints and the
-        denominator is an int >= 1."""
-        poly = cls.__new__(cls)
-        poly._store(numerators, denominator)
-        return poly
-
-    def _store(self, numerators: Iterable[int], denominator: int) -> None:
+    def __init__(self, numerators: Iterable[int], denominator: int):
         numerators = list(numerators)
         if not all(type(c) is int for c in numerators):
             raise ValueError("polynomial numerators must be ints")
@@ -89,24 +77,18 @@ class DensePolynomial:
 
     @classmethod
     def of(cls, *coefficients) -> "DensePolynomial":
-        return cls(coefficients)
+        coeffs = [Fraction(c) for c in coefficients]
+        denominator = lcm(*(c.denominator for c in coeffs))
+        return cls([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
 
     @classmethod
     def zero(cls) -> "DensePolynomial":
-        return cls(())
+        return cls((), 1)
 
     @cached_property
     def coefficients(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(c, d) for c in self.numerators)
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.numerators) - 1
-
-    def is_zero(self) -> bool:
-        return not self.numerators
 
     def __eq__(self, other):
         return self.coefficients == other.coefficients if isinstance(other, DensePolynomial) else NotImplemented
@@ -115,7 +97,7 @@ class DensePolynomial:
         return hash(self.coefficients)
 
     def __repr__(self):
-        return f"DensePolynomial({self.coefficients!r})"
+        return f"DensePolynomial.of{self.coefficients!r}"
 
     def __call__(self, x: Fraction) -> Fraction:
         """Evaluate at x = u / v by Horner's rule on ints: the sum of
@@ -130,15 +112,13 @@ class DensePolynomial:
     def __mul__(self, other):
         if isinstance(other, DensePolynomial):
             a, b = self.numerators, other.numerators
-            if not a or not b:
-                return DensePolynomial.zero()
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-            return DensePolynomial.from_scaled(out, self.denominator * other.denominator)
+            return DensePolynomial(out, self.denominator * other.denominator)
         if isinstance(other, (int, Fraction)):
-            return DensePolynomial.from_scaled(
+            return DensePolynomial(
                 [other.numerator * c for c in self.numerators], self.denominator * other.denominator
             )
         return NotImplemented
@@ -213,4 +193,4 @@ def poly_from_roots(roots: Iterable[Fraction]) -> DensePolynomial:
         coeffs.insert(0, Fraction(0))
         for k in range(len(coeffs) - 1):
             coeffs[k] -= a * coeffs[k + 1]
-    return DensePolynomial(tuple(coeffs))
+    return DensePolynomial.of(*coeffs)

@@ -137,7 +137,7 @@ def random_node_set(
 
 
 def _random_matrix(rng: random.Random, n: int, bound: int) -> ExactMatrix:
-    return ExactMatrix(
+    return ExactMatrix.from_rows(
         tuple(tuple(random_rational(rng, bound) for _ in range(n)) for _ in range(n))
     )
 
@@ -357,7 +357,7 @@ def _check_multilinearity(rng, cfg):
 
     s = random_rational(rng, cfg.coeff_bound)
     r = rng.randrange(n)
-    scaled = ExactMatrix(
+    scaled = ExactMatrix.from_rows(
         tuple(tuple(s * e for e in row) if idx == r else row for idx, row in enumerate(matrix.entries))
     )
     if det_laplace(scaled) != s * base_l or det_bareiss(scaled) != s * base_b:
@@ -366,17 +366,17 @@ def _check_multilinearity(rng, cfg):
     i, j = _distinct_pair(rng, n)
     rows = list(matrix.entries)
     rows[i], rows[j] = rows[j], rows[i]
-    swapped = ExactMatrix(tuple(rows))
+    swapped = ExactMatrix.from_rows(tuple(rows))
     if det_laplace(swapped) != -base_l or det_bareiss(swapped) != -base_b:
         return flat
 
-    eye = ExactMatrix(tuple(tuple(Fraction(int(p == q)) for q in range(n)) for p in range(n)))
+    eye = ExactMatrix.from_rows(tuple(tuple(Fraction(int(p == q)) for q in range(n)) for p in range(n)))
     if det_laplace(eye) != 1 or det_bareiss(eye) != 1:
         return flat
 
     rows = list(matrix.entries)
     rows[j] = rows[i]
-    duplicated = ExactMatrix(tuple(rows))
+    duplicated = ExactMatrix.from_rows(tuple(rows))
     if det_laplace(duplicated) != 0 or det_bareiss(duplicated) != 0:
         return flat
     return None

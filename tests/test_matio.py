@@ -87,7 +87,9 @@ def test_matrix_csv_fractions():
     assert matrix_to_csv(m) == "1/2,-3\n0,7/5\n"
 
 
-@pytest.mark.parametrize("bad", ["", "nonsense", '{"a": 1}', "[[1, 2]]", '[["1", "2"]]'])
+@pytest.mark.parametrize(
+    "bad", ["", "nonsense", '{"a": 1}', "[[1, 2]]", '[["1", "2"]]', '[["1", "2"], ["3", "4", "5"]]']
+)
 def test_matrix_from_json_errors(bad):
     with pytest.raises(MatrixFormatError):
         matrix_from_json(bad)
@@ -100,6 +102,8 @@ def test_matrix_from_csv_errors():
         matrix_from_csv("1,x\n")
     with pytest.raises(MatrixFormatError):
         matrix_from_csv("1,2\n3\n")
+    with pytest.raises(MatrixFormatError):
+        matrix_from_csv("1,2\n3,4,5\n")
     with pytest.raises(MatrixFormatError):
         matrix_from_csv("1,2\n")
 

@@ -141,7 +141,7 @@ def test_sign_bridge_sees_a_wrong_power_matrix(monkeypatch):
     itself, so every size n = 2, 3 (mod 4) with distinct nodes fails."""
 
     def reversed_rows(ns, at):
-        return structmat.ExactMatrix(structmat.build_vandermonde(ns).entries[::-1])
+        return structmat.ExactMatrix.from_rows(structmat.build_vandermonde(ns).entries[::-1])
 
     monkeypatch.setitem(calculus.KINDS, "vandermonde", (reversed_rows, structmat.vandermonde_det_closed))
     report = run_identity("sign_bridge", 100, 0, VerifyConfig())
