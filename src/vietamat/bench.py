@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .exactdet import ORACLES
+from .exactdet import METHODS, ORACLES
 from .rational import render_rational
 from .structmat import build_vieta, vieta_det_closed
 from .sympoly import NodeSet
 from .verify import random_rational, trial_rng
 
-METHODS = ("closed", *ORACLES)
 
-
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One timed determinant evaluation."""
 
     method: str

@@ -4,6 +4,10 @@ Commands: build, det (with wronskian/jacobian shorthands), verify, bench.
 Exit codes: 0 success or all checks passed, 1 verification failures,
 2 input error (including an unreadable or unwritable path and a bad
 VIETA_LAPLACE_MAX), 3 size-guard violation.
+
+`verify` and `bench` import their modules inside their handlers:
+`build`, `det` and its shorthands need neither, and at CLI sizes a
+command's wall time is mostly interpreter start and imports.
 """
 
 from __future__ import annotations
@@ -13,13 +17,11 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import METHODS, run_bench
 from .calculus import KINDS
-from .exactdet import ORACLES, LaplaceSizeError, laplace_size_limit
+from .exactdet import METHODS, ORACLES, LaplaceSizeError, laplace_size_limit
 from .matio import load_nodes_file, matrix_to_csv, matrix_to_json, parse_nodes_text
 from .rational import parse_rational, render_rational
 from .sympoly import NodeSet
-from .verify import VerifyConfig, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,6 +134,8 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyConfig, run_suite
+
     lo, hi = _parse_n_range(args.n)
     cfg = VerifyConfig(n_lo=lo, n_hi=hi, coeff_bound=args.coeff_bound)
     names = "all" if args.suite == "all" else [s for s in args.suite.split(",") if s]
@@ -150,6 +154,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import run_bench
+
     n_values = _parse_int_list(args.n, "size")
     methods = [m for m in args.methods.split(",") if m]
     records = run_bench(n_values, methods, args.repeats, args.entry_bits, args.seed)

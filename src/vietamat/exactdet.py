@@ -130,3 +130,6 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
 
 
 ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}
+# Every determinant route the CLI and the bench accept: the kind's closed
+# form, then the oracles.
+METHODS = ("closed", *ORACLES)

@@ -72,8 +72,12 @@ def serialize_nodes(ns: NodeSet) -> tuple[str, ...]:
 
 
 def matrix_to_json(m: ExactMatrix) -> str:
-    """Matrix as a JSON array of arrays of rational strings."""
-    return json.dumps(_rendered_rows(m))
+    """Matrix as a JSON array of arrays of rational strings.
+
+    Joined by hand: every entry is `[-0-9/]` only, so no character needs
+    escaping and the text is what `json.dumps` would give.
+    """
+    return "[" + ", ".join('["' + '", "'.join(row) + '"]' for row in _rendered_rows(m)) + "]"
 
 
 def matrix_to_csv(m: ExactMatrix) -> str:

@@ -9,24 +9,40 @@ ints over one denominator; no numerators at all is the zero polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
 class NodeSet:
-    """Ordered rational nodes; at least one node, duplicates allowed."""
+    """Ordered rational nodes; at least one node, duplicates allowed.
 
-    nodes: tuple[Fraction, ...]
+    Immutable, and equal node sets compare and hash equal.  A plain class
+    rather than a frozen dataclass: importing `dataclasses` would cost
+    every CLI process more than the command's own arithmetic.
+    """
 
-    def __post_init__(self):
-        coerced = tuple(Fraction(v) for v in self.nodes)
+    def __init__(self, nodes: tuple[Fraction, ...]):
+        coerced = tuple(Fraction(v) for v in nodes)
         if not coerced:
             raise ValueError("a node set needs at least one node")
         object.__setattr__(self, "nodes", coerced)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a NodeSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a NodeSet is immutable")
+
+    def __eq__(self, other):
+        return self.nodes == other.nodes if isinstance(other, NodeSet) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.nodes)
+
+    def __repr__(self):
+        return f"NodeSet(nodes={self.nodes!r})"
 
     @classmethod
     def of(cls, *values) -> "NodeSet":

@@ -18,8 +18,8 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .calculus import KINDS, nodal_basis
 from .exactdet import det_bareiss, det_laplace, laplace_size_limit
@@ -45,23 +45,42 @@ class NodeGenerationError(ValueError):
     """Could not draw distinct nodes within the resampling budget."""
 
 
-@dataclass(frozen=True)
 class VerifyConfig:
-    """Shared knobs for random input generation."""
+    """Shared knobs for random input generation.
 
-    n_lo: int = 1
-    n_hi: int = 6
-    coeff_bound: int = 50
+    Immutable, and equal configs compare and hash equal; a plain class,
+    not a dataclass, for the reason given on `NodeSet`.
+    """
 
-    def __post_init__(self):
-        if not (1 <= self.n_lo <= self.n_hi <= 10):
-            raise ValueError(f"n range must satisfy 1 <= lo <= hi <= 10, got {self.n_lo}..{self.n_hi}")
-        if self.coeff_bound < 1:
+    def __init__(self, n_lo: int = 1, n_hi: int = 6, coeff_bound: int = 50):
+        if not (1 <= n_lo <= n_hi <= 10):
+            raise ValueError(f"n range must satisfy 1 <= lo <= hi <= 10, got {n_lo}..{n_hi}")
+        if coeff_bound < 1:
             raise ValueError("coeff bound must be at least 1")
+        object.__setattr__(self, "n_lo", n_lo)
+        object.__setattr__(self, "n_hi", n_hi)
+        object.__setattr__(self, "coeff_bound", coeff_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a VerifyConfig is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a VerifyConfig is immutable")
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.n_lo, self.n_hi, self.coeff_bound
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, VerifyConfig) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"VerifyConfig(n_lo={self.n_lo}, n_hi={self.n_hi}, coeff_bound={self.coeff_bound})"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one identity's randomized trials."""
 
     identity: str

@@ -181,6 +181,20 @@ def test_repeated_node_zeroes_closed_form(values):
     assert vieta_extension_poly(ns) == DensePolynomial.zero()
 
 
+def test_repeated_node_skips_the_root_product(monkeypatch):
+    """A repeated node returns the zero polynomial before prod (x - a_i) is
+    built: the shortcut that keeps large degenerate inputs cheap, which no
+    benchmark workload sends to a closed form."""
+
+    def refuse(roots):
+        raise AssertionError("poly_from_roots called although a node repeats")
+
+    monkeypatch.setattr("vietamat.structmat.poly_from_roots", refuse)
+    ns = NodeSet.of(3, 1, 3, 5)
+    assert vieta_extension_poly(ns) == DensePolynomial.zero()
+    assert vieta_det_closed(ns) == 0
+
+
 @given(values=st.lists(rationals, min_size=2, max_size=8, unique=True), data=st.data())
 def test_swap_negates_closed_form(values, data):
     i = data.draw(st.integers(min_value=0, max_value=len(values) - 2))

@@ -46,6 +46,17 @@ def test_node_set_allows_duplicates():
     assert len(NodeSet.of(4, 4, 9)) == 3
 
 
+def test_node_set_is_an_immutable_value():
+    ns = NodeSet(nodes=(1, Fraction(1, 2)))
+    assert ns == NodeSet.of(1, "1/2") and hash(ns) == hash(NodeSet.of(1, "1/2"))
+    assert ns != NodeSet.of(1) and ns != ns.nodes
+    with pytest.raises(AttributeError):
+        ns.nodes = (Fraction(2),)
+    with pytest.raises(AttributeError):
+        del ns.nodes
+    assert ns.nodes == (1, Fraction(1, 2))
+
+
 def test_elem_sym_examples():
     assert elem_sym_all(NodeSet.of(1, 2, 3)) == [1, 6, 11, 6]
     assert elem_sym_all(NodeSet.of(5)) == [1, 5]

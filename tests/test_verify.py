@@ -36,6 +36,17 @@ def test_config_validation():
         VerifyConfig(coeff_bound=0)
 
 
+def test_config_is_an_immutable_value():
+    cfg = VerifyConfig(2, 4, 5)
+    assert cfg == VerifyConfig(n_lo=2, n_hi=4, coeff_bound=5) and hash(cfg) == hash(VerifyConfig(2, 4, 5))
+    assert cfg != VerifyConfig() and VerifyConfig() == VerifyConfig(1, 6, 50)
+    with pytest.raises(AttributeError):
+        cfg.n_hi = 10
+    with pytest.raises(AttributeError):
+        del cfg.coeff_bound
+    assert (cfg.n_lo, cfg.n_hi, cfg.coeff_bound) == (2, 4, 5)
+
+
 def test_random_node_set_respects_bounds():
     cfg = VerifyConfig(n_lo=2, n_hi=4, coeff_bound=5)
     for trial in range(50):
