@@ -88,9 +88,10 @@ def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> tuple
 
 def wronskian_closed(ns: NodeSet) -> Fraction:
     """Closed-form Wronskian of the nodal basis: prod_{k<n} k! times the
-    node-difference product.  Independent of the evaluation point."""
-    scale = math.prod(math.factorial(k) for k in range(len(ns)))
-    return scale * vieta_det_closed(ns)
+    node-difference product.  Independent of the evaluation point; the
+    factorials are multiplied only when the product is nonzero."""
+    det = vieta_det_closed(ns)
+    return det * math.prod(math.factorial(k) for k in range(len(ns))) if det else det
 
 
 # The partial d e_{r+1} / d x_{c+1} is e_r of the other coordinates, so the

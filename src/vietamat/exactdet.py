@@ -99,20 +99,33 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     already scaled to ints, and divides by the product of the column
     denominators once.  Columns, not rows: the row lcms of a power
     matrix multiply up to (prod q)^(n(n-1)/2), the column scales only to
-    (prod q)^(n-1).  Pivots on the first nonzero entry in each column,
-    counting swaps for the sign.  Every step divides exactly by the
-    previous pivot (Bareiss 1968); that is asserted on every input
-    (unless Python runs with -O).
+    (prod q)^(n-1).  Every step divides exactly by the previous pivot
+    (Bareiss 1968); that is asserted on every input (unless Python runs
+    with -O).
+
+    Two rules read only the entries.  The pivot of column k is its
+    nonzero entry in rows k..n-1 with the fewest bits, the lowest row on
+    a tie: every later entry is a minor of the input over the pivot rows
+    chosen so far, so pivots from rows of small entries keep the later
+    entries small.  Swaps are counted for the sign.  Before each step, a
+    column of the trailing block that is zero in every remaining row
+    makes the matrix singular, and 0 is returned at once: two equal
+    columns (a repeated node) leave such a column as soon as the first
+    of them is eliminated, not when elimination reaches the second.
     """
     n = m.n_rows
     a = [list(row) for row in m.numerators]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
+        rest = a[k:]
+        # A zero column of the trailing block has a zero in its first row,
+        # so the other rows are read only when that row holds one.
+        if 0 in a[k][k:] and not all(map(any, zip(*(row[k:] for row in rest)))):
+            return Fraction(0)
+        bits = [row[k].bit_length() for row in rest]
+        pivot_row = k + bits.index(min(filter(None, bits)))
+        if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         pivot = a[k][k]

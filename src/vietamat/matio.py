@@ -13,7 +13,6 @@ values; parse errors report the offending position.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .rational import RationalParseError, parse_rational, render_ratio, render_rational
@@ -47,6 +46,10 @@ def parse_nodes_text(text: str) -> NodeSet:
 
 def load_nodes_file(path: str | Path) -> NodeSet:
     """Load a JSON node file with schema {"nodes": [rational strings]}."""
+    # Imported here and in matrix_from_json, its only users, so that a
+    # command given inline nodes does not load it.
+    import json
+
     path = Path(path)
     try:
         raw = path.read_text()
@@ -92,6 +95,8 @@ def _rendered_rows(m: ExactMatrix) -> list[list[str]]:
 
 
 def matrix_from_json(text: str) -> ExactMatrix:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

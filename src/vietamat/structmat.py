@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Iterable
 
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, poly_from_roots
@@ -94,19 +94,18 @@ def vieta_det_closed(ns: NodeSet) -> Fraction:
 
     With a_i = p_i / q_i, the integer cross differences
     p_i q_k - p_k q_i are multiplied and reduced once against
-    (prod_i q_i)^(n-1).  The empty product (n = 1) is 1; a repeated
-    node zeroes a factor and returns 0 at once, before the costly power.
+    (prod_i q_i)^(n-1).  The empty product (n = 1) is 1.  A repeated
+    node, wherever it sits, zeroes a cross difference, so the nodes are
+    checked for a repeat before anything is multiplied.  They are
+    compared as (p, q) pairs: a Fraction is in lowest terms, so equal
+    nodes have equal pairs, and a pair hashes far faster than a Fraction.
     """
     nodes = ns.nodes
-    num, den = 1, 1
-    for i, a in enumerate(nodes):
-        p, q = a.numerator, a.denominator
-        den *= q
-        for b in nodes[i + 1:]:
-            num *= p * b.denominator - b.numerator * q
-        if not num:
-            return Fraction(0)
-    return Fraction(num, den ** (len(nodes) - 1))
+    pairs = [(a.numerator, a.denominator) for a in nodes]
+    if len(set(pairs)) < len(pairs):
+        return Fraction(0)
+    num = prod(p * s - r * q for i, (p, q) in enumerate(pairs) for r, s in pairs[i + 1:])
+    return Fraction(num, prod(q for _, q in pairs) ** (len(pairs) - 1))
 
 
 def build_vandermonde(ns: NodeSet) -> ExactMatrix:

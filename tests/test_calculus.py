@@ -16,7 +16,7 @@ from vietamat.calculus import (
     wronskian_matrix,
 )
 from vietamat.exactdet import det_bareiss
-from vietamat.structmat import build_vieta, vandermonde_det_closed, vieta_det_closed
+from vietamat.structmat import build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
 from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -166,6 +166,28 @@ def test_closed_forms_match_naive_product(values):
     assert vieta_det_closed(ns) == jacobian_det_closed(ns) == forward
     assert vandermonde_det_closed(ns) == backward
     assert wronskian_closed(ns) == math.prod(math.factorial(k) for k in range(n)) * forward
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 11), (10, 11)])
+def test_repeated_node_anywhere_multiplies_nothing(monkeypatch, i, j):
+    """A repeated node, wherever it sits, gives 0 from every closed form
+    and the zero extension polynomial before any product is formed: no
+    product of cross differences, no prod k!, no prod (x - a_i).  Without
+    the check a repeat in the last two slots multiplies out every other
+    factor first."""
+
+    def refuse(*args):
+        raise AssertionError("a product was formed although a node repeats")
+
+    monkeypatch.setattr("vietamat.structmat.prod", refuse)
+    monkeypatch.setattr("vietamat.structmat.poly_from_roots", refuse)
+    monkeypatch.setattr(math, "factorial", refuse)
+    values = [Fraction(3 * k - 7, k + 2) for k in range(12)]
+    values[j] = values[i]
+    ns = NodeSet(tuple(values))
+    for kind, (_, closed) in KINDS.items():
+        assert closed(ns) == 0, kind
+    assert vieta_extension_poly(ns) == DensePolynomial.zero()
 
 
 @given(values=points)

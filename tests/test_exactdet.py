@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_matrix
 from vietamat.exactdet import (
     DEFAULT_LAPLACE_MAX,
     LAPLACE_MAX_ENV,
@@ -108,7 +109,7 @@ def test_rational_pivot_swaps():
 
 def test_rational_zero_column():
     F = Fraction
-    # no pivot in column 1 after one elimination step, with two steps left
+    # column 1 is zero in every row, so there is no pivot for it
     m = ExactMatrix.from_rows(
         [[F(1, 2), 0, 3, F(2, 3)], [F(5, 7), 0, F(1, 9), 1], [2, 0, F(4, 11), F(-1, 5)], [F(3, 8), 0, 1, 4]]
     )
@@ -226,3 +227,53 @@ def test_bareiss_integer_input_stays_integral():
     m = build_vieta(ns)
     assert all(e.denominator == 1 for row in m.entries for e in row)
     assert det_bareiss(m) == det_laplace(m)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("i, j", [(0, 11), (10, 11)])
+def test_bareiss_repeated_node_anywhere_is_zero(kind, i, j):
+    # Two equal columns: the later one vanishes from the trailing block
+    # once the earlier one is eliminated, after the first step for
+    # (0, 11) and only in the final entry for (10, 11).
+    values = [Fraction(3 * k - 7, k + 2) for k in range(12)]
+    values[j] = values[i]
+    build, _ = KINDS[kind]
+    assert det_bareiss(build(NodeSet(tuple(values)), Fraction(2, 3))) == 0
+
+
+@pytest.mark.parametrize("x0", [Fraction(0), Fraction(5, 3)])
+def test_bareiss_integer_wronskian_matches_closed_form(x0):
+    # At integer nodes and x0 = 0, row 0 holds the largest entries (the
+    # products of eleven nodes), and the smallest-entry pivot swaps it
+    # away at the first step.
+    ns = NodeSet.of(3, -1, 4, -5, 9, 2, 6, -8, 7, -2, 10, 1)
+    assert det_bareiss(wronskian_matrix(nodal_basis(ns), x0)) == wronskian_closed(ns)
+
+
+@settings(max_examples=60)
+@given(rows=square_matrices(6), order=st.data())
+def test_bareiss_pivot_swaps_track_the_sign(rows, order):
+    # Row r is scaled by 2**(100 r), which outweighs the entries' own
+    # bits, so the smallest-entry pivot takes the rows in order of scale:
+    # after the shuffle that is a swap at almost every step.
+    n = len(rows)
+    scaled = [[e * 2 ** (100 * r) for e in row] for r, row in enumerate(rows)]
+    perm = order.draw(st.permutations(range(n)))
+    m = ExactMatrix.from_rows([scaled[p] for p in perm])
+    assert det_bareiss(m) == det_laplace(m)
+
+
+def test_bareiss_rank_deficient_zero_at_the_last_step():
+    F = Fraction
+    rows = [
+        [2, -1, F(3, 4), 5, F(-2, 7)],
+        [F(1, 2), 4, -2, 7, 1],
+        [3, F(1, 3), 1, -4, F(5, 6)],
+        [-6, 2, F(7, 5), 1, 3],
+    ]
+    # The last row is a combination of the others: no column of any
+    # trailing block is zero, and only the final entry cancels.
+    rows.append([a - 2 * b + F(3, 2) * c + d for a, b, c, d in zip(*rows)])
+    m = ExactMatrix.from_rows(rows)
+    assert det_laplace(m) == 0
+    assert det_bareiss(m) == 0

@@ -13,23 +13,26 @@ def test_import_loads_no_submodule():
 
 def test_det_and_build_load_neither_verify_nor_bench(tmp_path):
     """`det`, `build` and the shorthands import only what they run: not
-    verify or bench, nor the dataclasses and hashlib modules."""
+    verify or bench, nor the dataclasses and hashlib modules; and `json`
+    only for a node file."""
     nodes_file = tmp_path / "nodes.json"
     nodes_file.write_text('{"nodes": ["1", "-3/4", "2/5"]}')
-    commands = [
+    inline = [
         ["det", "vieta", "--nodes=1,-2,3/4"],
         ["build", "jacobian", "--nodes=1,-2,3/4", "--format", "csv"],
         ["build", "jacobian", "--nodes=1,-2,3/4"],
-        ["wronskian", "--method", "bareiss", "--nodes-file", str(nodes_file)],
     ]
-    unwanted = ["vietamat.verify", "vietamat.bench", "dataclasses", "hashlib"]
+    from_file = ["wronskian", "--method", "bareiss", "--nodes-file", str(nodes_file)]
+    unwanted = ["vietamat.verify", "vietamat.bench", "dataclasses", "hashlib", "json"]
     probe = (
         "import sys\n"
         "from vietamat.cli import main\n"
-        f"for argv in {commands!r}:\n"
+        f"for argv in {inline!r}:\n"
         "    assert main(argv) == 0, argv\n"
-        f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n"
+        f"before = sorted(m for m in {unwanted!r} if m in sys.modules)\n"
+        f"assert main({from_file!r}) == 0\n"
+        f"print(before, sorted(m for m in {unwanted!r} if m in sys.modules))\n"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-1] == "[] ['json']"
