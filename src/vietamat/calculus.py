@@ -37,16 +37,6 @@ def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
     )
 
 
-def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
-    """Formal derivative iterated `order` times; order 0 returns p."""
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    numerators = p.numerators
-    for _ in range(order):
-        numerators = tuple(k * c for k, c in enumerate(numerators) if k > 0)
-    return DensePolynomial(numerators, p.denominator)
-
-
 def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:
     """Matrix with entry (r, j) = r-th derivative of polys[j] at x0.
 

@@ -3,7 +3,8 @@
 Commands: build, det (with wronskian/jacobian shorthands), verify, bench.
 Exit codes: 0 success or all checks passed, 1 verification failures,
 2 input error (including an unreadable or unwritable path and a bad
-VIETA_LAPLACE_MAX), 3 size-guard violation.
+VIETA_LAPLACE_MAX), 3 size-guard violation, 4 internal error (any other
+exception: one stderr line naming its type, no traceback).
 
 `verify` and `bench` import their modules inside their handlers:
 `build`, `det` and its shorthands need neither, and at CLI sizes a
@@ -179,3 +180,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4

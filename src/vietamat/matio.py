@@ -57,7 +57,7 @@ def load_nodes_file(path: str | Path) -> NodeSet:
         raise NodesFileError(f"cannot read node file {path}: {exc}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise NodesFileError(f"node file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "nodes" not in data:
         raise NodesFileError(f'node file {path} must be an object with a "nodes" key')
@@ -99,7 +99,7 @@ def matrix_from_json(text: str) -> ExactMatrix:
 
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatrixFormatError(f"matrix JSON is invalid: {exc}") from None
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise MatrixFormatError("matrix JSON must be an array of arrays of rational strings")

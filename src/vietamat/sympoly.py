@@ -47,7 +47,7 @@ class NodeSet:
     @classmethod
     def of(cls, *values) -> "NodeSet":
         """Convenience constructor accepting ints, strings, or Fractions."""
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(values)
 
     def __len__(self) -> int:
         return len(self.nodes)

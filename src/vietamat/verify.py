@@ -13,12 +13,14 @@ distinct nodes resample each collision up to 100 times before giving up.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
 import random
 import time
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .calculus import KINDS, nodal_basis
@@ -45,39 +47,21 @@ class NodeGenerationError(ValueError):
     """Could not draw distinct nodes within the resampling budget."""
 
 
-class VerifyConfig:
+class VerifyConfig(collections.namedtuple("VerifyConfig", "n_lo n_hi coeff_bound")):
     """Shared knobs for random input generation.
 
-    Immutable, and equal configs compare and hash equal; a plain class,
-    not a dataclass, for the reason given on `NodeSet`.
+    An immutable value: a namedtuple validated on construction, not a
+    dataclass, for the reason given on `NodeSet`.
     """
 
-    def __init__(self, n_lo: int = 1, n_hi: int = 6, coeff_bound: int = 50):
+    __slots__ = ()
+
+    def __new__(cls, n_lo: int = 1, n_hi: int = 6, coeff_bound: int = 50):
         if not (1 <= n_lo <= n_hi <= 10):
             raise ValueError(f"n range must satisfy 1 <= lo <= hi <= 10, got {n_lo}..{n_hi}")
         if coeff_bound < 1:
             raise ValueError("coeff bound must be at least 1")
-        object.__setattr__(self, "n_lo", n_lo)
-        object.__setattr__(self, "n_hi", n_hi)
-        object.__setattr__(self, "coeff_bound", coeff_bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a VerifyConfig is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a VerifyConfig is immutable")
-
-    def _key(self) -> tuple[int, int, int]:
-        return self.n_lo, self.n_hi, self.coeff_bound
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, VerifyConfig) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"VerifyConfig(n_lo={self.n_lo}, n_hi={self.n_hi}, coeff_bound={self.coeff_bound})"
+        return super().__new__(cls, n_lo, n_hi, coeff_bound)
 
 
 class VerifyReport(NamedTuple):
@@ -171,15 +155,7 @@ def _distinct_pair(rng: random.Random, n: int) -> tuple[int, int]:
 
 def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
     """Sum over all k-subsets of the product of their elements."""
-    if k == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for combo in itertools.combinations(values, k):
-        term = Fraction(1)
-        for v in combo:
-            term *= v
-        total += term
-    return total
+    return sum(map(prod, itertools.combinations(values, k)), Fraction(0))
 
 
 # --- identity checks ------------------------------------------------------

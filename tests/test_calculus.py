@@ -11,7 +11,6 @@ from vietamat.calculus import (
     jacobian_det_closed,
     jacobian_matrix,
     nodal_basis,
-    poly_derivative,
     wronskian_closed,
     wronskian_matrix,
 )
@@ -29,6 +28,17 @@ pooled_points = st.lists(
     max_size=8,
 )
 polynomials = st.lists(rationals, max_size=9).map(lambda cs: DensePolynomial.of(*cs))
+
+
+# The derivative oracle for the Wronskian tests: the definition, term by term.
+def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
+    """Formal derivative iterated `order` times; order 0 returns p."""
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    numerators = p.numerators
+    for _ in range(order):
+        numerators = tuple(k * c for k, c in enumerate(numerators) if k > 0)
+    return DensePolynomial(numerators, p.denominator)
 
 
 def test_nodal_basis_examples():

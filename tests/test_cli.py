@@ -2,7 +2,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from vietamat import calculus, exactdet
 from vietamat.cli import main
 from vietamat.exactdet import LAPLACE_MAX_ENV
 from vietamat.verify import IDENTITIES
@@ -237,6 +240,28 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert payload["first_counterexample"] == ["1"]
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    """Any other exception is an internal error: exit 4, one stderr line
+    naming its type, no traceback."""
+
+    def divide_by_zero(ns, at):
+        return 1 // 0
+
+    def failed_division(matrix):
+        raise AssertionError("inexact division")
+
+    monkeypatch.setitem(calculus.KINDS, "vieta", (divide_by_zero, calculus.KINDS["vieta"][1]))
+    monkeypatch.setitem(exactdet.ORACLES, "bareiss", failed_division)
+    for argv, name in (
+        (("build", "vieta", "--nodes", "1,2"), "ZeroDivisionError"),
+        (("det", "vieta", "--nodes", "1,2", "--method", "bareiss"), "ZeroDivisionError"),
+        (("jacobian", "--nodes", "1,2", "--method", "bareiss"), "AssertionError"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith(f"internal error: {name}: ") and err.count("\n") == 1, err
+
+
 def test_bench_rows_and_hash_agreement(capsys):
     code, out, _ = run(capsys, "bench", "--n", "2,3", "--methods", "closed,bareiss,laplace", "--repeats", "2")
     assert code == 0
@@ -324,3 +349,64 @@ def test_no_command_is_input_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+# Node texts: small rationals, integers of up to about 5 000 digits (past
+# the 4 300-digit str limit), zero denominators and malformed text.
+valid_texts = st.one_of(
+    st.fractions(min_value=-99, max_value=99, max_denominator=99).map(str),
+    st.builds(lambda sign, digits: sign + "7" * digits, st.sampled_from(["", "-"]), st.integers(1, 5000)),
+)
+node_texts = st.one_of(
+    valid_texts,
+    st.integers(-99, 99).map(lambda p: f"{p}/0"),
+    st.sampled_from(["", "x", "1.5", "1/", "/2", "1//2", " 1", "+-3", "1e3", "0x10", "\u00bd", "\u0663"]),
+)
+node_lists = st.one_of(st.lists(valid_texts, min_size=1, max_size=8), st.lists(node_texts, min_size=1, max_size=8))
+# Where the nodes come from: inline, a node file (valid schema or not),
+# a missing file, or a directory.
+node_sources = st.one_of(
+    st.tuples(st.just("inline"), node_lists),
+    st.tuples(st.just("file"), node_lists.map(lambda texts: json.dumps({"nodes": texts}))),
+    st.tuples(
+        st.just("file"), st.sampled_from(["", "{", "null", "[]", '{"nodes": []}', '{"nodes": [1]}', "[" * 100_000])
+    ),
+    st.tuples(st.just("missing"), st.none()),
+    st.tuples(st.just("directory"), st.none()),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["det", "build", "wronskian", "jacobian"]),
+    kind=st.sampled_from(sorted(calculus.KINDS)),
+    source=node_sources,
+    at=st.one_of(st.none(), node_texts),
+    method=st.sampled_from(exactdet.METHODS),
+    fmt=st.sampled_from(["json", "csv"]),
+    laplace_max=st.one_of(st.none(), st.integers(1, 8)),
+)
+def test_random_argv_exits_with_a_documented_code(
+    capsys, tmp_path, command, kind, source, at, method, fmt, laplace_max
+):
+    """Whatever the input, the CLI exits 0, 2 or 3 and prints no traceback.
+    A lowered VIETA_LAPLACE_MAX sends Laplace past its guard at n <= 8."""
+    argv = [command, kind] if command in ("det", "build") else [command]
+    argv += ["--format", fmt] if command == "build" else ["--method", method]
+    where, payload = source
+    if where == "inline":
+        argv.append("--nodes=" + ",".join(payload))
+    else:
+        path = {"file": tmp_path / "nodes.json", "missing": tmp_path / "gone.json", "directory": tmp_path}[where]
+        if where == "file":
+            path.write_text(payload)
+        argv += ["--nodes-file", str(path)]
+    if at is not None:
+        argv.append(f"--at={at}")
+    with pytest.MonkeyPatch.context() as patch:
+        if laplace_max is not None:
+            patch.setenv(LAPLACE_MAX_ENV, str(laplace_max))
+        code, _, err = run(capsys, *argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err

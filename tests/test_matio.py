@@ -53,6 +53,7 @@ def test_load_nodes_file(tmp_path):
         '{"nodes": []}',
         '{"nodes": [1, 2]}',
         '{"nodes": "1,2"}',
+        pytest.param("[" * 100_000, id="deep"),  # the decoder raises RecursionError here
     ],
 )
 def test_load_nodes_file_schema_errors(tmp_path, content):
@@ -88,7 +89,16 @@ def test_matrix_csv_fractions():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "nonsense", '{"a": 1}', "[[1, 2]]", '[["1", "2"]]', '[["1", "2"], ["3", "4", "5"]]']
+    "bad",
+    [
+        "",
+        "nonsense",
+        '{"a": 1}',
+        "[[1, 2]]",
+        '[["1", "2"]]',
+        '[["1", "2"], ["3", "4", "5"]]',
+        pytest.param("[" * 100_000, id="deep"),
+    ],
 )
 def test_matrix_from_json_errors(bad):
     with pytest.raises(MatrixFormatError):
