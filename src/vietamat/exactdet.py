@@ -5,19 +5,20 @@ library: cofactor expansion (no elimination ideas at all) and
 fraction-free elimination.  A bug would have to strike both the product
 formula and two unrelated determinant routes identically to go unnoticed.
 
-Both run on plain ints and divide by a scale once at the end.
+Both run on plain ints and apply a scale once at the end.
 det_laplace clears each row of `entries` to its lcm itself; det_bareiss
 starts from the matrix's stored column scale (`ExactMatrix.numerators`
-over `denominators`).  The two scalings share no code, so a bug in one
-cannot hide in both.  The scale depends on the denominators alone;
-neither oracle knows the matrix's structure.
+over `denominators`), returns 0 at once for two equal stored columns,
+and divides each row by the gcd of its numerators.  The two
+scalings share no code, so a bug in one cannot hide in both.  Both read
+only the entries; neither oracle knows the matrix's structure.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .structmat import ExactMatrix
 
@@ -103,18 +104,30 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     (Bareiss 1968); that is asserted on every input (unless Python runs
     with -O).
 
-    Two rules read only the entries.  The pivot of column k is its
-    nonzero entry in rows k..n-1 with the fewest bits, the lowest row on
-    a tie: every later entry is a minor of the input over the pivot rows
-    chosen so far, so pivots from rows of small entries keep the later
-    entries small.  Swaps are counted for the sign.  Before each step, a
-    column of the trailing block that is zero in every remaining row
-    makes the matrix singular, and 0 is returned at once: two equal
-    columns (a repeated node) leave such a column as soon as the first
-    of them is eliminated, not when elimination reaches the second.
+    A prepass and two rules read only the entries.  The prepass returns
+    0 when two stored columns (numerator column and denominator) are
+    equal, such as a repeated node's, wherever they sit, before any step
+    runs; other singular inputs, equal rows among them, are left to
+    elimination.  It then divides each row by its content, the gcd of
+    its numerators (0 for a zero row, which returns 0), and multiplies
+    the contents back once at the end: a factor common to a row, such as
+    the r! of a Wronskian row, would otherwise be carried through every
+    step.  The pivot of column k is its nonzero entry in rows k..n-1
+    with the fewest bits, the lowest row on a tie: every later entry is
+    a minor of the input over the pivot rows chosen so far, so pivots
+    from rows of small entries keep the later entries small.  Swaps are
+    counted for the sign.  Before each step, a column of the trailing
+    block that is zero in every remaining row makes the matrix singular,
+    and 0 is returned at once.
     """
     n = m.n_rows
-    a = [list(row) for row in m.numerators]
+    if len(set(zip(zip(*m.numerators), m.denominators))) < n:
+        return Fraction(0)
+    contents = [gcd(*row) for row in m.numerators]
+    if 0 in contents:
+        return Fraction(0)
+    # Exact: a row's content divides each of its entries.
+    a = [[e // c for e in row] for row, c in zip(m.numerators, contents)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -139,7 +152,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
                 row_i[j] = q
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], prod(m.denominators))
+    return Fraction(sign * prod(contents) * a[n - 1][n - 1], prod(m.denominators))
 
 
 ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}

@@ -238,7 +238,8 @@ def _check_extension(rng, cfg):
 
 
 def _check_degenerate(rng, cfg):
-    """Repeated nodes force determinant 0; two zeros zero the last row."""
+    """Repeated nodes force determinant 0 from the closed form and both
+    oracles (Laplace within its guard); two zeros zero the last row."""
     ns = random_node_set(rng, cfg, min_n=2)
     nodes = list(ns.nodes)
     i, j = _distinct_pair(rng, len(nodes))
@@ -249,7 +250,7 @@ def _check_degenerate(rng, cfg):
         nodes[j] = Fraction(0)
     degenerate = NodeSet(tuple(nodes))
     matrix = build_vieta(degenerate)
-    if vieta_det_closed(degenerate) != 0 or det_bareiss(matrix) != 0:
+    if vieta_det_closed(degenerate) != 0 or not _oracles_give(Fraction(0), matrix):
         return serialize_nodes(degenerate)
     if nodes.count(Fraction(0)) >= 2 and any(e != 0 for e in matrix.entries[-1]):
         return serialize_nodes(degenerate)

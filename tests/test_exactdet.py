@@ -1,3 +1,4 @@
+import builtins
 import itertools
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vietamat import exactdet
 from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_matrix
 from vietamat.exactdet import (
     DEFAULT_LAPLACE_MAX,
@@ -213,6 +215,17 @@ def test_duplicate_rows_zero(rows, data):
     assert det_bareiss(ExactMatrix.from_rows(duplicated)) == 0
 
 
+@given(rows=square_matrices(5), data=st.data())
+def test_duplicate_columns_zero(rows, data):
+    n = len(rows)
+    if n < 2:
+        return
+    i, j = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True))
+    duplicated = [[row[i] if c == j else e for c, e in enumerate(row)] for row in rows]
+    assert det_laplace(ExactMatrix.from_rows(duplicated)) == 0
+    assert det_bareiss(ExactMatrix.from_rows(duplicated)) == 0
+
+
 @given(n=st.integers(min_value=1, max_value=8))
 def test_identity_det(n):
     eye = ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
@@ -229,16 +242,82 @@ def test_bareiss_integer_input_stays_integral():
     assert det_bareiss(m) == det_laplace(m)
 
 
+def _twelve_node_matrix(kind, repeat=None):
+    """The kind's matrix at 2/3 on twelve distinct rational nodes, or with
+    node i copied over node j for `repeat` = (i, j)."""
+    values = [Fraction(3 * k - 7, k + 2) for k in range(12)]
+    if repeat:
+        i, j = repeat
+        values[j] = values[i]
+    build, _ = KINDS[kind]
+    return build(NodeSet(tuple(values)), Fraction(2, 3))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("i, j", [(0, 11), (10, 11)])
 def test_bareiss_repeated_node_anywhere_is_zero(kind, i, j):
-    # Two equal columns: the later one vanishes from the trailing block
-    # once the earlier one is eliminated, after the first step for
-    # (0, 11) and only in the final entry for (10, 11).
-    values = [Fraction(3 * k - 7, k + 2) for k in range(12)]
-    values[j] = values[i]
-    build, _ = KINDS[kind]
-    assert det_bareiss(build(NodeSet(tuple(values)), Fraction(2, 3))) == 0
+    # A repeated node stores two equal columns, which the prepass finds
+    # wherever they sit, before any elimination step.
+    assert det_bareiss(_twelve_node_matrix(kind, (i, j))) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bareiss_equal_columns_eliminate_nothing(monkeypatch, kind):
+    """A late repeat gives 0 before any elimination step: no step divides
+    by its previous pivot.  Without the prepass a repeat at (10, 11) runs
+    every step, and only the final entry is 0."""
+
+    def refuse(*args):
+        raise AssertionError("an elimination step ran")
+
+    monkeypatch.setattr(exactdet, "divmod", refuse, raising=False)
+    assert det_bareiss(_twelve_node_matrix(kind, (10, 11))) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bareiss_proportional_columns_stop_at_the_zero_column(monkeypatch, kind):
+    """Column 11 set to twice column 0 is no equal column, so the prepass
+    passes it on; once column 0 is eliminated, column 11 of the trailing
+    block is zero and the step count stops at the first step's 11 x 11."""
+    m = _twelve_node_matrix(kind)
+    numerators = [row[:11] + (2 * row[0],) for row in m.numerators]
+    denominators = m.denominators[:11] + m.denominators[:1]
+    steps = []
+
+    def count(x, y):
+        steps.append(y)
+        return builtins.divmod(x, y)
+
+    monkeypatch.setattr(exactdet, "divmod", count, raising=False)
+    assert det_bareiss(ExactMatrix(numerators, denominators)) == 0
+    assert len(steps) == 11 * 11
+
+
+def test_bareiss_row_contents_match_leibniz(monkeypatch):
+    # Each row shares a large factor, some entries are negative and some
+    # rational; the contents are divided out, so no pivot carries them,
+    # and multiplied back once.
+    F = Fraction
+    big = 3**40 * 7**20
+    rows = [
+        [big * 2, -big * 6, big * 4, 0],
+        [F(-5, 3) * big**2, F(10, 7) * big**2, 0, -15 * big**2],
+        [-12, 18, F(-24, 5), 30],
+        [big * F(9, 2), big, -big * 7, big * 11],
+    ]
+    expected = leibniz_det(rows)
+    assert expected != 0
+    pivots = []
+
+    def record(x, y):
+        pivots.append(y)
+        return builtins.divmod(x, y)
+
+    monkeypatch.setattr(exactdet, "divmod", record, raising=False)
+    assert det_bareiss(ExactMatrix.from_rows(rows)) == expected
+    assert pivots and max(p.bit_length() for p in pivots) < 32
+    rows[2] = [0, 0, 0, 0]
+    assert det_bareiss(ExactMatrix.from_rows(rows)) == leibniz_det(rows) == 0
 
 
 @pytest.mark.parametrize("x0", [Fraction(0), Fraction(5, 3)])
@@ -250,17 +329,47 @@ def test_bareiss_integer_wronskian_matches_closed_form(x0):
     assert det_bareiss(wronskian_matrix(nodal_basis(ns), x0)) == wronskian_closed(ns)
 
 
+def _scaled_rows(rows):
+    """Row r times 2**(100 r), plus 1 in every entry: the scale outweighs
+    the entries' own bits but is no common factor of the row, so the
+    content division leaves it in place."""
+    return [[e * 2 ** (100 * r) + 1 for e in row] for r, row in enumerate(rows)]
+
+
 @settings(max_examples=60)
 @given(rows=square_matrices(6), order=st.data())
 def test_bareiss_pivot_swaps_track_the_sign(rows, order):
-    # Row r is scaled by 2**(100 r), which outweighs the entries' own
-    # bits, so the smallest-entry pivot takes the rows in order of scale:
-    # after the shuffle that is a swap at almost every step.
-    n = len(rows)
-    scaled = [[e * 2 ** (100 * r) for e in row] for r, row in enumerate(rows)]
-    perm = order.draw(st.permutations(range(n)))
+    # The smallest-entry pivot takes the rows mostly in order of scale,
+    # so the shuffle forces swaps; the next test shows a matrix that
+    # swaps at every step.
+    scaled = _scaled_rows(rows)
+    perm = order.draw(st.permutations(range(len(rows))))
     m = ExactMatrix.from_rows([scaled[p] for p in perm])
     assert det_bareiss(m) == det_laplace(m)
+
+
+def test_bareiss_pivot_swaps_at_every_step(monkeypatch):
+    # Rows in scale order 1..5, then 0: at each step the row of least
+    # scale is the last one, so every step swaps it up and flips the sign.
+    # Pivot k is then a minor of the rows of scale 0..k and has about
+    # 100 k(k+1)/2 bits; taking the first remaining row instead would add
+    # 100 (k+1).  The pivots are the divisors of the later steps.
+    n = 6
+    scaled = _scaled_rows([[x**j for j in range(n)] for x in range(2, 2 + n)])
+    divisors = []
+
+    def record(x, y):
+        divisors.append(y)
+        return builtins.divmod(x, y)
+
+    monkeypatch.setattr(exactdet, "divmod", record, raising=False)
+    for rows in (scaled[1:] + scaled[:1], scaled[2:3] + scaled[1:2] + scaled[3:] + scaled[:1]):
+        m = ExactMatrix.from_rows(rows)
+        divisors.clear()
+        assert det_bareiss(m) == det_laplace(m) != 0
+        pivots = [p for p, _ in itertools.groupby(divisors)][1:]
+        assert len(pivots) == n - 2
+        assert all(p.bit_length() < 100 * k * (k + 1) // 2 + 50 for k, p in enumerate(pivots))
 
 
 def test_bareiss_rank_deficient_zero_at_the_last_step():
