@@ -9,9 +9,13 @@ Both run on plain ints and apply a scale once at the end.
 det_laplace clears each row of `entries` to its lcm itself; det_bareiss
 starts from the matrix's stored column scale (`ExactMatrix.numerators`
 over `denominators`), returns 0 at once for two equal stored columns,
-and divides each row by the gcd of its numerators.  The two
-scalings share no code, so a bug in one cannot hide in both.  Both read
-only the entries; neither oracle knows the matrix's structure.
+and divides each row by the gcd of its numerators.  It then eliminates
+on a trailing block stored over one int scale per column: a stored
+entry times its column's scale is the true Bareiss entry, each column's
+content moves into its scale before each step, and a step divides by
+prev // gcd(prev, scale product) rather than by the previous pivot prev.
+The two scalings share no code, so a bug in one cannot hide in both.
+Both read only the entries; neither oracle knows the matrix's structure.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import floordiv, mul
 
 from .structmat import ExactMatrix
 
@@ -94,31 +99,45 @@ def det_laplace(m: ExactMatrix) -> Fraction:
 
 
 def det_bareiss(m: ExactMatrix) -> Fraction:
-    """Determinant by fraction-free elimination with row pivoting.
+    """Determinant by fraction-free elimination with row pivoting, on
+    entries stored over column scales.
 
     Runs on the matrix's stored int numerators, whose columns are
     already scaled to ints, and divides by the product of the column
     denominators once.  Columns, not rows: the row lcms of a power
     matrix multiply up to (prod q)^(n(n-1)/2), the column scales only to
-    (prod q)^(n-1).  Every step divides exactly by the previous pivot
-    (Bareiss 1968); that is asserted on every input (unless Python runs
-    with -O).
+    (prod q)^(n-1).
 
-    A prepass and two rules read only the entries.  The prepass returns
-    0 when two stored columns (numerator column and denominator) are
-    equal, such as a repeated node's, wherever they sit, before any step
-    runs; other singular inputs, equal rows among them, are left to
-    elimination.  It then divides each row by its content, the gcd of
-    its numerators (0 for a zero row, which returns 0), and multiplies
-    the contents back once at the end: a factor common to a row, such as
-    the r! of a Wronskian row, would otherwise be carried through every
-    step.  The pivot of column k is its nonzero entry in rows k..n-1
-    with the fewest bits, the lowest row on a tie: every later entry is
-    a minor of the input over the pivot rows chosen so far, so pivots
-    from rows of small entries keep the later entries small.  Swaps are
-    counted for the sign.  Before each step, a column of the trailing
-    block that is zero in every remaining row makes the matrix singular,
-    and 0 is returned at once.
+    The trailing block is stored divided by one int scale per column: a
+    stored entry times its column's scale is the true Bareiss entry
+    (Bareiss 1968).  Before each step the content of each trailing
+    column, the gcd of its stored entries, moves into its scale, so a
+    step multiplies only primitive entries; on the matrix kinds of this
+    library a column's content holds much of its entries' bits.  With f
+    the pivot column's scale times column j's and prev the previous true
+    pivot, f times the step's numerator is divisible by prev, so the
+    numerator divides exactly by prev // gcd(prev, f), and column j's
+    new scale is f // gcd(prev, f).  Every entry update asserts that its
+    division is exact (unless Python runs with -O), also where the
+    divisor is 1.  The new prev is the stored pivot times its scale.
+    With every column content 1 this is plain Bareiss.
+
+    A prepass returns 0 when two stored columns (numerator column and
+    denominator) are equal, such as a repeated node's, wherever they
+    sit, before any step runs; other singular inputs, equal rows among
+    them, are left to elimination.  It then divides each row by its
+    content, the gcd of its numerators (0 for a zero row, which returns
+    0), and multiplies the contents back once at the end: a factor
+    common to a row, such as the r! of a Wronskian row, would otherwise
+    be carried through every step.  A trailing column of content 0, zero
+    in every remaining row, makes the matrix singular and returns 0 at
+    once; two proportional columns give one as soon as the first is
+    eliminated.  The pivot of column k is its nonzero stored entry in
+    rows k..n-1 with the fewest bits, the lowest row on a tie (the
+    column shares one scale): every later entry is a minor of the input
+    over the pivot rows chosen so far, so pivots from rows of small
+    entries keep the later entries small.  Swaps are counted for the
+    sign.  All of this reads only the entries.
     """
     n = m.n_rows
     if len(set(zip(zip(*m.numerators), m.denominators))) < n:
@@ -128,14 +147,19 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
         return Fraction(0)
     # Exact: a row's content divides each of its entries.
     a = [[e // c for e in row] for row, c in zip(m.numerators, contents)]
+    scale = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
         rest = a[k:]
-        # A zero column of the trailing block has a zero in its first row,
-        # so the other rows are read only when that row holds one.
-        if 0 in a[k][k:] and not all(map(any, zip(*(row[k:] for row in rest)))):
+        column_contents = [gcd(*[row[j] for row in rest]) for j in range(k, n)]
+        if 0 in column_contents:
             return Fraction(0)
+        if max(column_contents) > 1:
+            for row in rest:
+                # Exact: a column's content divides each of its entries.
+                row[k:] = map(floordiv, row[k:], column_contents)
+            scale[k:] = map(mul, scale[k:], column_contents)
         bits = [row[k].bit_length() for row in rest]
         pivot_row = k + bits.index(min(filter(None, bits)))
         if pivot_row != k:
@@ -143,16 +167,29 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
             sign = -sign
         pivot = a[k][k]
         row_k = a[k]
+        # With f = scale[k] * scale[j]: prev // gcd(prev, f) is
+        # h // gcd(h, scale[j]) for h = prev // gcd(prev, scale[k]), and
+        # f // gcd(prev, f) is (scale[k] // gcd(prev, scale[k])) *
+        # (scale[j] // gcd(h, scale[j])).  So one gcd per step is taken with
+        # prev and the others with h, which is usually far smaller.
+        g = gcd(prev, scale[k])
+        h = prev // g
+        pivot_scale = scale[k] // g
+        divisors = [1] * n
+        for j in range(k + 1, n):
+            g = gcd(h, scale[j])
+            divisors[j] = h // g
+            scale[j] = pivot_scale * (scale[j] // g)
         for i in range(k + 1, n):
             row_i = a[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                q, r = divmod(pivot * row_i[j] - head * row_k[j], prev)
+                q, r = divmod(pivot * row_i[j] - head * row_k[j], divisors[j])
                 assert not r, "fraction-free step divided unevenly"
                 row_i[j] = q
-            row_i[k] = 0
-        prev = pivot
-    return Fraction(sign * prod(contents) * a[n - 1][n - 1], prod(m.denominators))
+        prev = pivot * scale[k]
+    last = a[n - 1][n - 1] * scale[n - 1]
+    return Fraction(sign * prod(contents) * last, prod(m.denominators))
 
 
 ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}

@@ -239,7 +239,10 @@ def _check_extension(rng, cfg):
 
 def _check_degenerate(rng, cfg):
     """Repeated nodes force determinant 0 from the closed form and both
-    oracles (Laplace within its guard); two zeros zero the last row."""
+    oracles (Laplace within its guard); two zeros zero the last row.  The
+    drawn nodes' matrix with column j set to twice column i gives 0 from
+    both oracles too: no two of its stored columns are equal, so Bareiss
+    reaches elimination and must find the zero there."""
     ns = random_node_set(rng, cfg, min_n=2)
     nodes = list(ns.nodes)
     i, j = _distinct_pair(rng, len(nodes))
@@ -254,6 +257,13 @@ def _check_degenerate(rng, cfg):
         return serialize_nodes(degenerate)
     if nodes.count(Fraction(0)) >= 2 and any(e != 0 for e in matrix.entries[-1]):
         return serialize_nodes(degenerate)
+    drawn = build_vieta(ns)
+    doubled = ExactMatrix(
+        [row[:j] + (2 * row[i],) + row[j + 1:] for row in drawn.numerators],
+        drawn.denominators[:j] + drawn.denominators[i:i + 1] + drawn.denominators[j + 1:],
+    )
+    if not _oracles_give(Fraction(0), doubled):
+        return serialize_nodes(ns)
     return None
 
 

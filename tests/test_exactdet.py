@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vietamat import exactdet
+from vietamat.bench import bench_node_set
 from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_matrix
 from vietamat.exactdet import (
     DEFAULT_LAPLACE_MAX,
@@ -386,3 +387,55 @@ def test_bareiss_rank_deficient_zero_at_the_last_step():
     m = ExactMatrix.from_rows(rows)
     assert det_laplace(m) == 0
     assert det_bareiss(m) == 0
+
+
+# Column factors built from 2, 3 and 6 share primes with each other, so the
+# scales and previous pivots of the elimination share some primes but not
+# all: the divisor prev // gcd(prev, scale product) is then neither 1 nor
+# prev.
+column_factors = st.builds(
+    lambda a, b, c, q: 2**a * 3**b * 6**c * q,
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=6),
+    st.sampled_from([1, -1, 5, -7, 11]),
+)
+
+
+@given(rows=square_matrices(5), data=st.data())
+def test_bareiss_columns_with_shared_prime_factors(rows, data):
+    factors = data.draw(st.lists(column_factors, min_size=len(rows), max_size=len(rows)))
+    scaled = [[e * f for e, f in zip(row, factors)] for row in rows]
+    m = ExactMatrix.from_rows(scaled)
+    expected = leibniz_det(scaled)
+    assert det_laplace(m) == expected
+    assert det_bareiss(m) == expected
+
+
+# Largest dividend on these nodes when every step divides by the previous
+# pivot alone: each entry then carries its column's content through every
+# later step.
+_VANDERMONDE_UNSCALED_MAX_BITS = 14548
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bareiss_24_rational_nodes_match_closed_form_with_small_dividends(monkeypatch, kind):
+    """Every kind's matrix at 24 distinct 16-bit rational nodes gives the
+    closed form, and the column scales keep every dividend small: on the
+    vieta, Wronskian and Jacobian matrices each column's content is almost
+    all of its entries' bits.  The Vandermonde matrix keeps a factor
+    common to no column, so its bound is a quarter of the unscaled run's."""
+    ns = bench_node_set(0, 24, 16)
+    assert len(set(ns.nodes)) == 24
+    build, closed = KINDS[kind]
+    dividends = []
+
+    def record(x, y):
+        dividends.append(x.bit_length())
+        return builtins.divmod(x, y)
+
+    monkeypatch.setattr(exactdet, "divmod", record, raising=False)
+    assert det_bareiss(build(ns, Fraction(2, 3))) == closed(ns)
+    assert len(dividends) == sum(k * k for k in range(24))
+    limit = _VANDERMONDE_UNSCALED_MAX_BITS // 4 if kind == "vandermonde" else 2000
+    assert max(dividends) <= limit

@@ -1,8 +1,9 @@
+import builtins
 import json
 
 import pytest
 
-from vietamat import calculus, structmat, verify
+from vietamat import calculus, exactdet, structmat, verify
 from vietamat.verify import (
     IDENTITIES,
     NodeGenerationError,
@@ -157,6 +158,34 @@ def test_sign_bridge_sees_a_wrong_power_matrix(monkeypatch):
     monkeypatch.setitem(calculus.KINDS, "vandermonde", (reversed_rows, structmat.vandermonde_det_closed))
     report = run_identity("sign_bridge", 100, 0, VerifyConfig())
     assert report.failures > 0
+
+
+def test_degenerate_sends_bareiss_through_elimination(monkeypatch):
+    """Each degenerate trial also hands Bareiss the drawn nodes' matrix
+    with column j set to twice column i.  No two of its stored columns
+    are equal, so the prepass cannot answer it, and Bareiss runs
+    elimination steps and still returns 0.  The exception is a trial whose
+    node j is 0: the doubled matrix's last row is then zero, which the
+    prepass answers."""
+    divisions = []
+    reached = []
+    bareiss = verify.det_bareiss
+
+    def count(x, y):
+        divisions.append(y)
+        return builtins.divmod(x, y)
+
+    def bareiss_reaching(m):
+        before = len(divisions)
+        value = bareiss(m)
+        reached.append(len(divisions) > before)
+        return value
+
+    monkeypatch.setattr(exactdet, "divmod", count, raising=False)
+    monkeypatch.setattr(verify, "det_bareiss", bareiss_reaching)
+    report = run_identity("degenerate", 50, 0, VerifyConfig())
+    assert report.failures == 0
+    assert sum(reached) >= 0.9 * report.trials
 
 
 CLOSED_FORM_IDENTITIES = [
