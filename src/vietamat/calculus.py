@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .structmat import ExactMatrix, build_vandermonde, build_vieta, vandermonde_det_closed, vieta_det_closed
-from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled
+from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, monic
 
 
 def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
@@ -24,17 +24,13 @@ def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
     nodes, polys[j] vanishes at every node except node j.
 
     The coefficient of x^{n-1-k} in polys[j] is (-1)^k e_k of the nodes
-    without node j, so polys[j] is column j of `leave_one_out_scaled`,
-    reversed and sign-flipped, over the same denominator: one O(n^2)
-    integer table and no Fraction.  For a single node the basis is the
-    constant polynomial 1 (empty product).
+    without node j, so polys[j] is column j of `leave_one_out_scaled`
+    through `monic`, over the same denominator: one O(n^2) integer table
+    and no Fraction.  For a single node the basis is the constant
+    polynomial 1 (empty product).
     """
     columns, denominators = leave_one_out_scaled(ns)
-    n = len(ns)
-    return tuple(
-        DensePolynomial([-e if (n - 1 - m) % 2 else e for m, e in enumerate(reversed(column))], d)
-        for column, d in zip(columns, denominators)
-    )
+    return tuple(map(monic, columns, denominators))
 
 
 def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:

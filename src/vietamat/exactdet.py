@@ -6,7 +6,8 @@ fraction-free elimination.  A bug would have to strike both the product
 formula and two unrelated determinant routes identically to go unnoticed.
 
 Both run on plain ints and apply a scale once at the end.
-det_laplace clears each row of `entries` to its lcm itself; det_bareiss
+det_laplace clears each row of `entries` to its lcm itself and expands
+bottom-up, one table of minors per row by column set; det_bareiss
 starts from the matrix's stored column scale (`ExactMatrix.numerators`
 over `denominators`), returns 0 at once for two equal stored columns,
 and divides each row by the gcd of its numerators.  It then eliminates
@@ -54,14 +55,19 @@ def laplace_size_limit() -> int:
 
 
 def det_laplace(m: ExactMatrix) -> Fraction:
-    """Determinant by recursive cofactor expansion along the first row.
+    """Determinant by cofactor expansion along the first row, built
+    bottom-up over column sets.
 
     Each row is first multiplied by the lcm of its denominators, so the
     expansion runs on ints and the result is divided by the product of
-    those lcms once.  Minors repeat across branches, so they are memoized
-    by their column set; the arithmetic is the textbook expansion, term
-    for term.  Sizes beyond the guard (default 8, env-overridable) raise
-    LaplaceSizeError rather than silently switching algorithm.
+    those lcms once.  minors[mask] is the minor on the last
+    popcount(mask) rows and the columns in mask, expanded along its first
+    row; each level is made from the one below, and a term coeff * minor
+    is negated when an odd number of mask's columns lie below coeff's
+    column.  The terms are the textbook expansion's, term for term, two
+    levels are held at once, and a minor no term reaches (a zero
+    column's) is 0.  Sizes beyond the guard (default 8, env-overridable)
+    raise LaplaceSizeError rather than silently switching algorithm.
     """
     limit = laplace_size_limit()
     n = m.n_rows
@@ -75,27 +81,20 @@ def det_laplace(m: ExactMatrix) -> Fraction:
         [e.numerator * (d // e.denominator) for e in row]
         for row, d in zip(m.entries, row_lcms)
     ]
-    memo: dict[tuple[int, ...], int] = {}
-
-    def expand(depth: int, cols: tuple[int, ...]) -> int:
-        if len(cols) == 1:
-            return rows[depth][cols[0]]
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = rows[depth]
-        total = 0
-        negate = False
-        for pos, j in enumerate(cols):
-            coeff = row[j]
-            if coeff:
-                term = coeff * expand(depth + 1, cols[:pos] + cols[pos + 1:])
-                total = total - term if negate else total + term
-            negate = not negate
-        memo[cols] = total
-        return total
-
-    return Fraction(expand(0, tuple(range(n))), prod(row_lcms))
+    minors = {1 << j: coeff for j, coeff in enumerate(rows[-1]) if coeff}
+    for row in reversed(rows[:-1]):
+        level: dict[int, int] = {}
+        for mask, minor in minors.items():
+            negate = False
+            for j, coeff in enumerate(row):
+                bit = 1 << j
+                if mask & bit:
+                    negate = not negate
+                elif coeff:
+                    term = coeff * minor
+                    level[mask | bit] = level.get(mask | bit, 0) + (-term if negate else term)
+        minors = level
+    return Fraction(minors.get((1 << n) - 1, 0), prod(row_lcms))
 
 
 def det_bareiss(m: ExactMatrix) -> Fraction:

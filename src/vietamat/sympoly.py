@@ -142,18 +142,25 @@ class DensePolynomial:
     __rmul__ = __mul__
 
 
-def elem_sym_all(ns: NodeSet) -> list[Fraction]:
-    """All elementary symmetric values [e_0, e_1, ..., e_n] of the nodes.
+def scaled_product(values: Iterable[Fraction]) -> list[int]:
+    """Coefficients of prod_i (q_i + p_i t) for a_i = p_i / q_i, ascending:
+    entry k is Q * e_k, and entry 0 is Q = prod_i q_i.  The empty product
+    is [1].  The one root-product loop; O(n^2) int steps, nothing reduced."""
+    product = [1]
+    for a in values:
+        p, q = a.numerator, a.denominator
+        product.append(0)
+        for k in range(len(product) - 1, 0, -1):
+            product[k] = q * product[k] + p * product[k - 1]
+        product[0] *= q
+    return product
 
-    Computed by multiplying the running generating polynomial by (1 + a*t)
-    once per node: O(n^2) exact multiplications, no divisions.
-    """
-    e = [Fraction(1)]
-    for a in ns:
-        e.append(Fraction(0))
-        for k in range(len(e) - 1, 0, -1):
-            e[k] += a * e[k - 1]
-    return e
+
+def elem_sym_all(ns: NodeSet) -> list[Fraction]:
+    """All elementary symmetric values [e_0, e_1, ..., e_n] of the nodes,
+    read off `scaled_product` over its entry 0."""
+    product = scaled_product(ns)
+    return [Fraction(c, product[0]) for c in product]
 
 
 def leave_one_out_scaled(ns: NodeSet) -> tuple[list[list[int]], list[int]]:
@@ -161,8 +168,8 @@ def leave_one_out_scaled(ns: NodeSet) -> tuple[list[list[int]], list[int]]:
     ints: columns[j][k] / denominators[j] is e_k of the nodes with node j
     removed, for k = 0..n-1.
 
-    Writing a_i = p_i / q_i, the integer coefficients of
-    prod_i (q_i + p_i t) are Q * e_k with Q = prod_i q_i.  Column j is
+    With a_i = p_i / q_i, `scaled_product` gives Q * e_k, Q = prod_i q_i,
+    as the coefficients of prod_i (q_i + p_i t).  Column j is
     that product divided exactly by (q_j + p_j t): synthetic division in
     integers, dividing only by q_j >= 1, so repeated or zero nodes need
     no special casing.  Its denominator is Q / q_j, which is also its
@@ -170,13 +177,7 @@ def leave_one_out_scaled(ns: NodeSet) -> tuple[list[list[int]], list[int]]:
     column, O(n^2) in all.
     """
     n = len(ns)
-    full = [1]
-    for a in ns:
-        p, q = a.numerator, a.denominator
-        full.append(0)
-        for k in range(len(full) - 1, 0, -1):
-            full[k] = q * full[k] + p * full[k - 1]
-        full[0] *= q
+    full = scaled_product(ns)
     columns = []
     for a in ns:
         p, q = a.numerator, a.denominator
@@ -201,12 +202,16 @@ def leave_one_out_table(ns: NodeSet) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(zip(*([Fraction(f, d) for f in column] for column, d in zip(columns, denominators))))
 
 
+def monic(scaled_e: list[int], denominator: int) -> DensePolynomial:
+    """The polynomial with coefficient (-1)^k e_k at x^(d-k), k = 0..d, for
+    e_k = scaled_e[k] / denominator: prod (x - a_i) when the e_k are the
+    a_i's.  The one e_k -> polynomial sign flip, over the same scale."""
+    d = len(scaled_e) - 1
+    return DensePolynomial([-e if (d - m) % 2 else e for m, e in enumerate(reversed(scaled_e))], denominator)
+
+
 def poly_from_roots(roots: Iterable[Fraction]) -> DensePolynomial:
     """Monic prod_i (x - a_i); the coefficient of x^{n-k} is (-1)^k e_k.
     The empty product is 1."""
-    coeffs = [Fraction(1)]
-    for a in roots:
-        coeffs.insert(0, Fraction(0))
-        for k in range(len(coeffs) - 1):
-            coeffs[k] -= a * coeffs[k + 1]
-    return DensePolynomial.of(*coeffs)
+    product = scaled_product(roots)
+    return monic(product, product[0])

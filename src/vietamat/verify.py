@@ -24,7 +24,7 @@ from math import prod
 from typing import NamedTuple
 
 from .calculus import KINDS, nodal_basis
-from .exactdet import det_bareiss, det_laplace, laplace_size_limit
+from .exactdet import ORACLES, det_bareiss, det_laplace, laplace_size_limit
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
 from .structmat import (
@@ -355,36 +355,26 @@ def _check_oracle_agreement(rng, cfg):
 
 def _check_multilinearity(rng, cfg):
     """Row scaling scales, row swaps negate, det(I) = 1, duplicate rows
-    give 0 — for both oracles.  Counterexamples serialize row-major."""
+    give 0 — for every oracle.  Counterexamples serialize row-major."""
     n = _random_size(rng, cfg, min_n=2, cap=6)
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
-    flat = tuple(render_rational(e) for row in matrix.entries for e in row)
-    base_l, base_b = det_laplace(matrix), det_bareiss(matrix)
-
     s = random_rational(rng, cfg.coeff_bound)
     r = rng.randrange(n)
     scaled = ExactMatrix.from_rows(
         tuple(tuple(s * e for e in row) if idx == r else row for idx, row in enumerate(matrix.entries))
     )
-    if det_laplace(scaled) != s * base_l or det_bareiss(scaled) != s * base_b:
-        return flat
-
     i, j = _distinct_pair(rng, n)
     rows = list(matrix.entries)
     rows[i], rows[j] = rows[j], rows[i]
     swapped = ExactMatrix.from_rows(tuple(rows))
-    if det_laplace(swapped) != -base_l or det_bareiss(swapped) != -base_b:
-        return flat
-
     eye = ExactMatrix.from_rows(tuple(tuple(Fraction(int(p == q)) for q in range(n)) for p in range(n)))
-    if det_laplace(eye) != 1 or det_bareiss(eye) != 1:
-        return flat
-
     rows = list(matrix.entries)
     rows[j] = rows[i]
     duplicated = ExactMatrix.from_rows(tuple(rows))
-    if det_laplace(duplicated) != 0 or det_bareiss(duplicated) != 0:
-        return flat
+    for det in ORACLES.values():
+        base = det(matrix)
+        if det(scaled) != s * base or det(swapped) != -base or det(eye) != 1 or det(duplicated) != 0:
+            return tuple(render_rational(e) for row in matrix.entries for e in row)
     return None
 
 

@@ -1,6 +1,7 @@
 import builtins
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,35 @@ def test_identity_det(n):
     eye = ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
     assert det_bareiss(eye) == 1
     assert det_laplace(eye) == 1
+
+
+@settings(max_examples=80)
+@given(
+    data=st.integers(min_value=1, max_value=DEFAULT_LAPLACE_MAX).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(n)),
+            st.lists(rationals.filter(bool), min_size=n, max_size=n),
+        )
+    )
+)
+def test_laplace_on_signed_scaled_permutation_matrices(data):
+    """Row i holds scales[i] in column perm[i]: the determinant is
+    sign(perm) * prod(scales), with the sign from an inversion count, so
+    the check uses neither oracle.  Up to the guard size, where the table
+    has the most levels and each row one nonzero entry."""
+    perm, scales = data
+    n = len(perm)
+    rows = [[scales[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+    expected = (-1) ** inversions * prod(scales)
+    assert det_laplace(ExactMatrix.from_rows(rows)) == expected
+
+
+def test_laplace_zero_column_at_the_guard_size():
+    # every row is nonzero, but no term reaches the full column set
+    n = DEFAULT_LAPLACE_MAX
+    rows = [[0 if j == 3 else Fraction(i + 2, j + 1) ** j for j in range(n)] for i in range(n)]
+    assert det_laplace(ExactMatrix.from_rows(rows)) == 0
 
 
 def test_bareiss_integer_input_stays_integral():

@@ -1,5 +1,6 @@
 import builtins
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -210,3 +211,11 @@ def test_closed_form_identities_run_laplace(monkeypatch):
     for identity, _ in CLOSED_FORM_IDENTITIES:
         report = run_identity(identity, 20, 0, VerifyConfig())
         assert report.failures == report.trials, identity
+
+
+def test_multilinearity_checks_every_oracle_in_the_table(monkeypatch):
+    """The identity runs its checks for each entry of `exactdet.ORACLES`,
+    so an oracle that always answers 0 fails det(I) = 1 in every trial."""
+    monkeypatch.setitem(exactdet.ORACLES, "zero", lambda m: Fraction(0))
+    report = run_identity("multilinearity", 5, 0, VerifyConfig())
+    assert report.failures == 5
