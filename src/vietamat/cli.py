@@ -2,9 +2,9 @@
 
 Commands: build, det (with wronskian/jacobian shorthands), verify, bench.
 Exit codes: 0 success or all checks passed, 1 verification failures,
-2 input error (including an unreadable or unwritable path and a bad
-VIETA_LAPLACE_MAX), 3 size-guard violation, 4 internal error (any other
-exception: one stderr line naming its type, no traceback).
+2 input error (including an unreadable or unwritable path), 3 size-guard
+violation (Laplace beyond 8x8), 4 internal error (any other exception:
+one stderr line naming its type, no traceback).
 
 `verify` and `bench` import their modules inside their handlers:
 `build`, `det` and its shorthands need neither, and at CLI sizes a
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .calculus import KINDS
-from .exactdet import METHODS, ORACLES, LaplaceSizeError, laplace_size_limit
+from .exactdet import METHODS, ORACLES, LaplaceSizeError
 from .matio import load_nodes_file, matrix_to_csv, matrix_to_json, parse_nodes_text
 from .rational import parse_rational, render_rational
 from .sympoly import NodeSet
@@ -172,7 +172,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad arguments, 0 for --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        laplace_size_limit()  # reject a bad VIETA_LAPLACE_MAX before any command
         return args.handler(args)
     except LaplaceSizeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -21,37 +21,18 @@ Both read only the entries; neither oracle knows the matrix's structure.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import floordiv, mul
 
 from .structmat import ExactMatrix
 
-LAPLACE_MAX_ENV = "VIETA_LAPLACE_MAX"
-DEFAULT_LAPLACE_MAX = 8
+# The largest matrix det_laplace accepts; its work grows as n * 2^n.
+LAPLACE_MAX = 8
 
 
 class LaplaceSizeError(ValueError):
     """Cofactor expansion requested beyond its size guard."""
-
-
-def laplace_size_limit() -> int:
-    """Current cofactor-expansion guard; VIETA_LAPLACE_MAX overrides 8.
-
-    A value that is not an integer >= 1 raises a plain ValueError that
-    names the variable.
-    """
-    raw = os.environ.get(LAPLACE_MAX_ENV)
-    if raw is None:
-        return DEFAULT_LAPLACE_MAX
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"{LAPLACE_MAX_ENV} must be an integer >= 1, got {raw!r}")
-    return limit
 
 
 def det_laplace(m: ExactMatrix) -> Fraction:
@@ -66,15 +47,14 @@ def det_laplace(m: ExactMatrix) -> Fraction:
     is negated when an odd number of mask's columns lie below coeff's
     column.  The terms are the textbook expansion's, term for term, two
     levels are held at once, and a minor no term reaches (a zero
-    column's) is 0.  Sizes beyond the guard (default 8, env-overridable)
-    raise LaplaceSizeError rather than silently switching algorithm.
+    column's) is 0.  Sizes beyond LAPLACE_MAX raise LaplaceSizeError
+    rather than silently switching algorithm.
     """
-    limit = laplace_size_limit()
     n = m.n_rows
-    if n > limit:
+    if n > LAPLACE_MAX:
         raise LaplaceSizeError(
-            f"det_laplace is limited to {limit}x{limit}, got {n}x{n}; "
-            f"set {LAPLACE_MAX_ENV} to raise the guard"
+            f"det_laplace is limited to {LAPLACE_MAX}x{LAPLACE_MAX}, got {n}x{n}; "
+            "bareiss has no size limit"
         )
     row_lcms = [lcm(*(e.denominator for e in row)) for row in m.entries]
     rows = [

@@ -24,7 +24,7 @@ from math import prod
 from typing import NamedTuple
 
 from .calculus import KINDS, nodal_basis
-from .exactdet import ORACLES, det_bareiss, det_laplace, laplace_size_limit
+from .exactdet import LAPLACE_MAX, ORACLES, det_bareiss, det_laplace
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
 from .structmat import (
@@ -164,11 +164,11 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 
 
 def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
-    """Bareiss on `matrix` equals `value`, and Laplace too within the
-    Laplace guard.  Draws nothing from any RNG."""
+    """Bareiss on `matrix` equals `value`, and Laplace too up to
+    `LAPLACE_MAX` rows, its fixed guard.  Draws nothing from any RNG."""
     if det_bareiss(matrix) != value:
         return False
-    return matrix.n_rows > laplace_size_limit() or det_laplace(matrix) == value
+    return matrix.n_rows > LAPLACE_MAX or det_laplace(matrix) == value
 
 
 def _closed_form_holds(kind: str, ns: NodeSet) -> bool:

@@ -2,12 +2,11 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from vietamat import calculus, exactdet
 from vietamat.cli import main
-from vietamat.exactdet import LAPLACE_MAX_ENV
 from vietamat.verify import IDENTITIES
 
 
@@ -138,29 +137,19 @@ def test_missing_nodes_file_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
-def test_laplace_guard_exit_code(capsys):
+def test_laplace_guard_exit_code(capsys, monkeypatch):
+    # the guard is fixed at 8x8: VIETA_LAPLACE_MAX, set or not, changes nothing
     nodes = ",".join(str(i) for i in range(1, 10))  # 9 nodes
-    code, _, err = run(capsys, "det", "vieta", "--nodes", nodes, "--method", "laplace")
-    assert code == 3
-    assert LAPLACE_MAX_ENV in err
-
-
-def test_laplace_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv(LAPLACE_MAX_ENV, "9")
-    nodes = ",".join(str(i) for i in range(1, 10))
-    code, out, _ = run(capsys, "det", "vieta", "--nodes", nodes, "--method", "laplace")
-    assert code == 0
-    bareiss_code, bareiss_out, _ = run(capsys, "det", "vieta", "--nodes", nodes, "--method", "bareiss")
-    assert bareiss_code == 0
-    assert out == bareiss_out
-
-
-def test_bad_laplace_env_is_input_error(capsys, monkeypatch):
-    for raw in ("-1", "0", "eight", "2.5", ""):
-        monkeypatch.setenv(LAPLACE_MAX_ENV, raw)
-        code, _, err = run(capsys, "det", "vieta", "--nodes", "1,2,3", "--method", "laplace")
-        assert code == 2, raw
-        assert LAPLACE_MAX_ENV in err
+    for raw in (None, "9", "eight"):
+        if raw is None:
+            monkeypatch.delenv("VIETA_LAPLACE_MAX", raising=False)
+        else:
+            monkeypatch.setenv("VIETA_LAPLACE_MAX", raw)
+        code, _, err = run(capsys, "det", "vieta", "--nodes", nodes, "--method", "laplace")
+        assert code == 3, raw
+        assert "8x8" in err
+        code, out, _ = run(capsys, "det", "vieta", "--nodes", "1,2,3", "--method", "laplace")
+        assert (code, out) == (0, "-2\n"), raw
 
 
 def test_out_into_missing_directory_is_input_error(capsys, tmp_path):
@@ -362,7 +351,7 @@ node_texts = st.one_of(
     st.integers(-99, 99).map(lambda p: f"{p}/0"),
     st.sampled_from(["", "x", "1.5", "1/", "/2", "1//2", " 1", "+-3", "1e3", "0x10", "\u00bd", "\u0663"]),
 )
-node_lists = st.one_of(st.lists(valid_texts, min_size=1, max_size=8), st.lists(node_texts, min_size=1, max_size=8))
+node_lists = st.one_of(st.lists(valid_texts, min_size=1, max_size=9), st.lists(node_texts, min_size=1, max_size=9))
 # Where the nodes come from: inline, a node file (valid schema or not),
 # a missing file, or a directory.
 node_sources = st.one_of(
@@ -384,13 +373,12 @@ node_sources = st.one_of(
     at=st.one_of(st.none(), node_texts),
     method=st.sampled_from(exactdet.METHODS),
     fmt=st.sampled_from(["json", "csv"]),
-    laplace_max=st.one_of(st.none(), st.integers(1, 8)),
 )
-def test_random_argv_exits_with_a_documented_code(
-    capsys, tmp_path, command, kind, source, at, method, fmt, laplace_max
-):
+@example(command="det", kind="vieta", source=("inline", list("123456789")), at=None, method="laplace", fmt="json")
+def test_random_argv_exits_with_a_documented_code(capsys, tmp_path, command, kind, source, at, method, fmt):
     """Whatever the input, the CLI exits 0, 2 or 3 and prints no traceback.
-    A lowered VIETA_LAPLACE_MAX sends Laplace past its guard at n <= 8."""
+    Up to nine nodes, so Laplace meets its 8x8 guard; the explicit example
+    always does."""
     argv = [command, kind] if command in ("det", "build") else [command]
     argv += ["--format", fmt] if command == "build" else ["--method", method]
     where, payload = source
@@ -403,10 +391,7 @@ def test_random_argv_exits_with_a_documented_code(
         argv += ["--nodes-file", str(path)]
     if at is not None:
         argv.append(f"--at={at}")
-    with pytest.MonkeyPatch.context() as patch:
-        if laplace_max is not None:
-            patch.setenv(LAPLACE_MAX_ENV, str(laplace_max))
-        code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *argv)
     event(f"exit {code}")
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err

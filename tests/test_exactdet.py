@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from vietamat import exactdet
 from vietamat.bench import bench_node_set
 from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_matrix
-from vietamat.exactdet import (
-    DEFAULT_LAPLACE_MAX,
-    LAPLACE_MAX_ENV,
-    LaplaceSizeError,
-    det_bareiss,
-    det_laplace,
-    laplace_size_limit,
-)
+from vietamat.exactdet import LAPLACE_MAX, LaplaceSizeError, det_bareiss, det_laplace
 from vietamat.structmat import ExactMatrix, build_vieta
 from vietamat.sympoly import NodeSet
 
@@ -128,33 +121,18 @@ def test_non_square_rejected():
 
 
 def test_laplace_size_guard(monkeypatch):
-    n = DEFAULT_LAPLACE_MAX + 1
-    big = ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-    with pytest.raises(LaplaceSizeError):
-        det_laplace(big)
-    monkeypatch.setenv(LAPLACE_MAX_ENV, str(n))
-    assert det_laplace(big) == 1
-    monkeypatch.setenv(LAPLACE_MAX_ENV, "4")
-    with pytest.raises(LaplaceSizeError):
-        det_laplace(big)
-
-
-def test_laplace_guard_env_override(monkeypatch):
-    monkeypatch.setenv(LAPLACE_MAX_ENV, "10")
-    assert laplace_size_limit() == 10
-    n = DEFAULT_LAPLACE_MAX + 1
-    big = ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-    assert det_laplace(big) == 1
-    monkeypatch.delenv(LAPLACE_MAX_ENV)
-    assert laplace_size_limit() == DEFAULT_LAPLACE_MAX
-
-
-@pytest.mark.parametrize("raw", ["-1", "0", "eight", "2.5", ""])
-def test_bad_laplace_env_is_rejected(monkeypatch, raw):
-    monkeypatch.setenv(LAPLACE_MAX_ENV, raw)
-    with pytest.raises(ValueError, match=LAPLACE_MAX_ENV) as excinfo:
-        laplace_size_limit()
-    assert not isinstance(excinfo.value, LaplaceSizeError)
+    """The guard is the constant LAPLACE_MAX = 8; the environment,
+    VIETA_LAPLACE_MAX included, does not move it."""
+    assert LAPLACE_MAX == 8
+    eye8, eye9 = (ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]) for n in (8, 9))
+    for raw in (None, "9", "4", "eight"):
+        if raw is None:
+            monkeypatch.delenv("VIETA_LAPLACE_MAX", raising=False)
+        else:
+            monkeypatch.setenv("VIETA_LAPLACE_MAX", raw)
+        assert det_laplace(eye8) == 1, raw
+        with pytest.raises(LaplaceSizeError, match="limited to 8x8, got 9x9"):
+            det_laplace(eye9)
 
 
 @given(rows=square_matrices(4))
@@ -237,7 +215,7 @@ def test_identity_det(n):
 
 @settings(max_examples=80)
 @given(
-    data=st.integers(min_value=1, max_value=DEFAULT_LAPLACE_MAX).flatmap(
+    data=st.integers(min_value=1, max_value=LAPLACE_MAX).flatmap(
         lambda n: st.tuples(
             st.permutations(range(n)),
             st.lists(rationals.filter(bool), min_size=n, max_size=n),
@@ -259,7 +237,7 @@ def test_laplace_on_signed_scaled_permutation_matrices(data):
 
 def test_laplace_zero_column_at_the_guard_size():
     # every row is nonzero, but no term reaches the full column set
-    n = DEFAULT_LAPLACE_MAX
+    n = LAPLACE_MAX
     rows = [[0 if j == 3 else Fraction(i + 2, j + 1) ** j for j in range(n)] for i in range(n)]
     assert det_laplace(ExactMatrix.from_rows(rows)) == 0
 
