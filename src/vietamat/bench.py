@@ -16,9 +16,9 @@ import hashlib
 import time
 from typing import NamedTuple
 
+from .calculus import KINDS
 from .exactdet import METHODS, ORACLES
 from .rational import render_rational
-from .structmat import build_vieta, vieta_det_closed
 from .sympoly import NodeSet
 from .verify import random_rational, trial_rng
 
@@ -68,12 +68,13 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    build, closed = KINDS["vieta"]
     records = []
     for n in n_values:
         ns = bench_node_set(seed, n, entry_bits)
-        matrix = build_vieta(ns)
+        matrix = build(ns, 0)
         for method in methods:
-            det, arg = (vieta_det_closed, ns) if method == "closed" else (ORACLES[method], matrix)
+            det, arg = (closed, ns) if method == "closed" else (ORACLES[method][0], matrix)
             for _ in range(repeats):
                 start = time.perf_counter_ns()
                 value = det(arg)

@@ -120,7 +120,7 @@ def _cmd_det(args) -> int:
     if args.method == "closed":
         value = closed(ns)
     else:
-        value = ORACLES[args.method](build(ns, at))
+        value = ORACLES[args.method][0](build(ns, at))
     sys.stdout.write(render_rational(value) + "\n")
     return 0
 

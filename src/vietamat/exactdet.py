@@ -17,6 +17,8 @@ content moves into its scale before each step, and a step divides by
 prev // gcd(prev, scale product) rather than by the previous pivot prev.
 The two scalings share no code, so a bug in one cannot hide in both.
 Both read only the entries; neither oracle knows the matrix's structure.
+`ORACLES` maps each method to an (oracle, reach) pair, the reach being
+the largest n it accepts or None: the one list of oracles and reaches.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     return Fraction(sign * prod(contents) * last, prod(m.denominators))
 
 
-ORACLES = {"bareiss": det_bareiss, "laplace": det_laplace}
+ORACLES = {"bareiss": (det_bareiss, None), "laplace": (det_laplace, LAPLACE_MAX)}
 # Every determinant route the CLI and the bench accept: the kind's closed
 # form, then the oracles.
 METHODS = ("closed", *ORACLES)

@@ -24,7 +24,7 @@ from math import prod
 from typing import NamedTuple
 
 from .calculus import KINDS, nodal_basis
-from .exactdet import LAPLACE_MAX, ORACLES, det_bareiss, det_laplace
+from .exactdet import ORACLES, det_bareiss
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
 from .structmat import (
@@ -164,11 +164,10 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 
 
 def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
-    """Bareiss on `matrix` equals `value`, and Laplace too up to
-    `LAPLACE_MAX` rows, its fixed guard.  Draws nothing from any RNG."""
-    if det_bareiss(matrix) != value:
-        return False
-    return matrix.n_rows > LAPLACE_MAX or det_laplace(matrix) == value
+    """Every oracle within its reach equals `value` on `matrix`; they run
+    in table order, up to the first that differs.  Draws no random numbers."""
+    n = matrix.n_rows
+    return all(det(matrix) == value for det, reach in ORACLES.values() if reach is None or n <= reach)
 
 
 def _closed_form_holds(kind: str, ns: NodeSet) -> bool:
@@ -179,7 +178,7 @@ def _closed_form_holds(kind: str, ns: NodeSet) -> bool:
 
 
 def _check_theorem1(rng, cfg):
-    """Closed product formula equals both determinant oracles."""
+    """Closed product formula equals every oracle within its reach."""
     ns = random_node_set(rng, cfg)
     return None if _closed_form_holds("vieta", ns) else serialize_nodes(ns)
 
@@ -197,7 +196,7 @@ def _check_corollary1(rng, cfg):
 
 
 def _check_sign_bridge(rng, cfg):
-    """Both oracles on the power matrix give its closed form, which is
+    """Every oracle within its reach gives the power matrix's closed form,
     (-1)^{n(n-1)/2} times theorem 1's: the sign between the two product
     orientations."""
     ns = random_node_set(rng, cfg)
@@ -238,11 +237,11 @@ def _check_extension(rng, cfg):
 
 
 def _check_degenerate(rng, cfg):
-    """Repeated nodes force determinant 0 from the closed form and both
-    oracles (Laplace within its guard); two zeros zero the last row.  The
-    drawn nodes' matrix with column j set to twice column i gives 0 from
-    both oracles too: no two of its stored columns are equal, so Bareiss
-    reaches elimination and must find the zero there."""
+    """Repeated nodes force determinant 0 from the closed form and every
+    oracle within its reach; two zeros zero the last row.  The drawn
+    nodes' matrix with column j set to twice column i gives 0 from every
+    oracle within its reach too: no two of its stored columns are equal,
+    so Bareiss reaches elimination and must find the zero there."""
     ns = random_node_set(rng, cfg, min_n=2)
     nodes = list(ns.nodes)
     i, j = _distinct_pair(rng, len(nodes))
@@ -344,11 +343,11 @@ def _check_jacobian(rng, cfg):
 
 
 def _check_oracle_agreement(rng, cfg):
-    """Cofactor expansion and fraction-free elimination agree on random
+    """Every oracle within its reach (all, at n <= 6) agrees on random
     matrices.  Counterexamples serialize the entries row-major."""
     n = _random_size(rng, cfg, cap=6)
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
-    if det_laplace(matrix) != det_bareiss(matrix):
+    if len({det(matrix) for det, _ in ORACLES.values()}) > 1:
         return tuple(render_rational(e) for row in matrix.entries for e in row)
     return None
 
@@ -371,7 +370,7 @@ def _check_multilinearity(rng, cfg):
     rows = list(matrix.entries)
     rows[j] = rows[i]
     duplicated = ExactMatrix.from_rows(tuple(rows))
-    for det in ORACLES.values():
+    for det, _ in ORACLES.values():
         base = det(matrix)
         if det(scaled) != s * base or det(swapped) != -base or det(eye) != 1 or det(duplicated) != 0:
             return tuple(render_rational(e) for row in matrix.entries for e in row)

@@ -1,0 +1,261 @@
+"""Mutation gate: every mutant in MUTANTS must be killed by the tests it names.
+
+    python tests/mutants.py
+
+For each entry, `src/` is copied to a temporary directory, the entry's
+snippet must occur exactly once in its file (so a refactor that moves the
+code fails loudly instead of skipping the mutant), and it is replaced.
+Only the named pytest IDs then run, with PYTHONPATH pointing at the copy.
+The mutant is killed when every named ID reports a failure; a named ID
+that still passes is a survivor.  Before any mutant runs, all named IDs
+must pass on an unmutated copy, and that copy must be the package the
+tests import.  Exits 1 on any survivor, missing snippet or broken run.
+
+Standard library only.  pytest does not collect this file: its name does
+not match test_*.py.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/vietamat
+    snippet: str
+    replacement: str
+    kills: tuple[str, ...]  # pytest IDs, each of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "reach-short",
+        "verify.py",
+        "n <= reach",
+        "n < reach",
+        ("tests/test_verify.py::test_laplace_runs_at_exactly_its_reach",),
+    ),
+    Mutant(
+        "reach-off",
+        "verify.py",
+        "ORACLES.values() if reach is None or n <= reach)",
+        "ORACLES.values())",
+        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped",),
+    ),
+    Mutant(
+        "oracles-any",
+        "verify.py",
+        "return all(det(matrix) == value",
+        "return any(det(matrix) == value",
+        (
+            "tests/test_verify.py::test_laplace_runs_at_exactly_its_reach",
+            "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[theorem1]",
+            "tests/test_verify.py::test_closed_form_identities_run_laplace",
+        ),
+    ),
+    Mutant(
+        "laplace-max-9",
+        "exactdet.py",
+        "LAPLACE_MAX = 8",
+        "LAPLACE_MAX = 9",
+        (
+            "tests/test_exactdet.py::test_laplace_size_guard",
+            "tests/test_cli.py::test_laplace_guard_exit_code",
+            "tests/test_cli.py::test_bench_laplace_guard",
+        ),
+    ),
+    Mutant(
+        "laplace-negate-first",
+        "exactdet.py",
+        "negate = False",
+        "negate = True",
+        (
+            "tests/test_exactdet.py::test_laplace_examples",
+            "tests/test_exactdet.py::test_laplace_on_signed_scaled_permutation_matrices",
+            "tests/test_exactdet.py::test_both_oracles_match_leibniz",
+            "tests/test_exactdet.py::test_both_oracles_match_leibniz_on_huge_denominators",
+        ),
+    ),
+    Mutant(
+        "bareiss-divisor-h",
+        "exactdet.py",
+        "divisors[j] = h // g",
+        "divisors[j] = h",
+        (
+            "tests/test_exactdet.py::test_bareiss_rank_deficient_zero_at_the_last_step",
+            "tests/test_exactdet.py::test_both_oracles_match_leibniz",
+        ),
+    ),
+    Mutant(
+        "bareiss-no-equal-columns",
+        "exactdet.py",
+        "if len(set(zip(zip(*m.numerators), m.denominators))) < n:",
+        "if False:",
+        ("tests/test_exactdet.py::test_bareiss_equal_columns_eliminate_nothing",),
+    ),
+    Mutant(
+        "bareiss-h-prev",
+        "exactdet.py",
+        "h = prev // g\n",
+        "h = prev\n",
+        (
+            "tests/test_exactdet.py::test_bareiss_integer_input_stays_integral",
+            "tests/test_exactdet.py::test_both_oracles_match_leibniz",
+        ),
+    ),
+    Mutant(
+        "bareiss-swap-keeps-sign",
+        "exactdet.py",
+        "sign = -sign",
+        "sign = sign",
+        (
+            "tests/test_exactdet.py::test_bareiss_needs_pivot_swap",
+            "tests/test_exactdet.py::test_rational_pivot_swaps",
+            "tests/test_exactdet.py::test_bareiss_pivot_swaps_track_the_sign",
+        ),
+    ),
+    Mutant(
+        "bareiss-no-row-content",
+        "exactdet.py",
+        "contents = [gcd(*row) for row in m.numerators]",
+        "contents = [int(any(row)) for row in m.numerators]",
+        ("tests/test_exactdet.py::test_bareiss_row_contents_match_leibniz",),
+    ),
+    Mutant(
+        "taylor-no-v-power",
+        "calculus.py",
+        "out[r] = factorial * g[r] * v_pow[r]",
+        "out[r] = factorial * g[r]",
+        (
+            "tests/test_calculus.py::test_builders_match_naive_fractions[wronskian]",
+            "tests/test_calculus.py::test_wronskian_matrix_matches_derivatives",
+        ),
+    ),
+    Mutant(
+        "vandermonde-q-powers-forward",
+        "structmat.py",
+        "zip(p_pow, reversed(q_pow))",
+        "zip(p_pow, q_pow)",
+        (
+            "tests/test_calculus.py::test_builders_match_naive_fractions[vandermonde]",
+            "tests/test_structmat.py::test_sign_bridge",
+        ),
+    ),
+)
+
+
+def _copy_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _env(src: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    return env
+
+
+# pytest, with Hypothesis neither shrinking a failure nor replaying a stored
+# one: a mutant needs only to fail, and a shrink can take minutes.
+PYTEST = """
+import sys
+import pytest
+
+class NoShrink:
+    def pytest_configure(self, config):
+        from hypothesis import Phase, settings
+        settings.register_profile("mutants", database=None, phases=(Phase.explicit, Phase.generate))
+        settings.load_profile("mutants")
+
+sys.exit(pytest.main(sys.argv[1:], plugins=[NoShrink()]))
+"""
+
+
+def _pytest(src: Path, ids) -> tuple[int, set[str], str]:
+    """Run `ids` against the package under `src`: the exit code, the
+    failed node IDs, and the output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PYTEST, "-q", "-rf", "-p", "no:cacheprovider", *ids],
+        cwd=REPO,
+        env=_env(src),
+        capture_output=True,
+        text=True,
+    )
+    failed = {
+        line[len("FAILED "):].split(" - ")[0]
+        for line in proc.stdout.splitlines()
+        if line.startswith("FAILED ")
+    }
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def _mutate(src: Path, mutant: Mutant) -> None:
+    path = src / "vietamat" / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.snippet)
+    if count != 1:
+        raise SystemExit(f"{mutant.name}: snippet {mutant.snippet!r} occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def _baseline() -> None:
+    """All named IDs pass on an unmutated copy, which is the package the
+    tests import."""
+    ids = sorted({test for m in MUTANTS for test in m.kills})
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(tmp)
+        where = subprocess.run(
+            [sys.executable, "-c", "import vietamat; print(vietamat.__file__)"],
+            env=_env(src),
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+        if not where.startswith(str(src)):
+            raise SystemExit(f"baseline: vietamat imports from {where!r}, not from the copy {src}")
+        code, _, output = _pytest(src, ids)
+    if code != 0:
+        raise SystemExit(f"baseline: the named tests do not all pass unmutated (exit {code})\n{output}")
+
+
+def _killed(mutant: Mutant) -> bool:
+    """Every named ID fails on a copy with the mutant applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(tmp)
+        _mutate(src, mutant)
+        code, failed, output = _pytest(src, mutant.kills)
+    survivors = [
+        test for test in mutant.kills if not any(f == test or f.startswith(test + "[") for f in failed)
+    ]
+    if code not in (0, 1):
+        print(f"{mutant.name}: pytest exited {code}\n{output}")
+        return False
+    for test in survivors:
+        print(f"{mutant.name}: SURVIVED {test}")
+    return not survivors
+
+
+def main() -> int:
+    start = time.perf_counter()
+    _baseline()
+    survived = 0
+    for mutant in MUTANTS:
+        killed = _killed(mutant)
+        survived += not killed
+        print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'}", flush=True)
+    print(f"{len(MUTANTS) - survived}/{len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

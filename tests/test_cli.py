@@ -240,7 +240,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         raise AssertionError("inexact division")
 
     monkeypatch.setitem(calculus.KINDS, "vieta", (divide_by_zero, calculus.KINDS["vieta"][1]))
-    monkeypatch.setitem(exactdet.ORACLES, "bareiss", failed_division)
+    monkeypatch.setitem(exactdet.ORACLES, "bareiss", (failed_division, None))
     for argv, name in (
         (("build", "vieta", "--nodes", "1,2"), "ZeroDivisionError"),
         (("det", "vieta", "--nodes", "1,2", "--method", "bareiss"), "ZeroDivisionError"),

@@ -304,8 +304,8 @@ def test_bareiss_proportional_columns_stop_at_the_zero_column(monkeypatch, kind)
 
 def test_bareiss_row_contents_match_leibniz(monkeypatch):
     # Each row shares a large factor, some entries are negative and some
-    # rational; the contents are divided out, so no pivot carries them,
-    # and multiplied back once.
+    # rational; the contents are divided out, so no pivot or dividend
+    # carries them, and multiplied back once.
     F = Fraction
     big = 3**40 * 7**20
     rows = [
@@ -317,14 +317,18 @@ def test_bareiss_row_contents_match_leibniz(monkeypatch):
     expected = leibniz_det(rows)
     assert expected != 0
     pivots = []
+    dividends = []
 
     def record(x, y):
         pivots.append(y)
+        dividends.append(x)
         return builtins.divmod(x, y)
 
     monkeypatch.setattr(exactdet, "divmod", record, raising=False)
     assert det_bareiss(ExactMatrix.from_rows(rows)) == expected
     assert pivots and max(p.bit_length() for p in pivots) < 32
+    # 13 bits with the contents divided out, 245 without
+    assert max(abs(x).bit_length() for x in dividends) < 32
     rows[2] = [0, 0, 0, 0]
     assert det_bareiss(ExactMatrix.from_rows(rows)) == leibniz_det(rows) == 0
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vietamat import calculus, exactdet, structmat, verify
+from vietamat import calculus, exactdet, structmat
 from vietamat.verify import (
     IDENTITIES,
     NodeGenerationError,
@@ -170,7 +170,7 @@ def test_degenerate_sends_bareiss_through_elimination(monkeypatch):
     prepass answers."""
     divisions = []
     reached = []
-    bareiss = verify.det_bareiss
+    bareiss = exactdet.det_bareiss
 
     def count(x, y):
         divisions.append(y)
@@ -183,7 +183,7 @@ def test_degenerate_sends_bareiss_through_elimination(monkeypatch):
         return value
 
     monkeypatch.setattr(exactdet, "divmod", count, raising=False)
-    monkeypatch.setattr(verify, "det_bareiss", bareiss_reaching)
+    monkeypatch.setitem(exactdet.ORACLES, "bareiss", (bareiss_reaching, None))
     report = run_identity("degenerate", 50, 0, VerifyConfig())
     assert report.failures == 0
     assert sum(reached) >= 0.9 * report.trials
@@ -208,8 +208,8 @@ def test_identity_checks_the_tables_closed_form(monkeypatch, identity, kind):
 def test_closed_form_identities_run_laplace(monkeypatch):
     # a VIETA_LAPLACE_MAX of 1 does not make the identities skip Laplace
     monkeypatch.setenv("VIETA_LAPLACE_MAX", "1")
-    laplace = verify.det_laplace
-    monkeypatch.setattr(verify, "det_laplace", lambda m: laplace(m) + 1)
+    laplace = exactdet.det_laplace
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (lambda m: laplace(m) + 1, exactdet.LAPLACE_MAX))
     for identity, _ in CLOSED_FORM_IDENTITIES:
         report = run_identity(identity, 20, 0, VerifyConfig())
         assert report.failures == report.trials, identity
@@ -218,6 +218,49 @@ def test_closed_form_identities_run_laplace(monkeypatch):
 def test_multilinearity_checks_every_oracle_in_the_table(monkeypatch):
     """The identity runs its checks for each entry of `exactdet.ORACLES`,
     so an oracle that always answers 0 fails det(I) = 1 in every trial."""
-    monkeypatch.setitem(exactdet.ORACLES, "zero", lambda m: Fraction(0))
+    monkeypatch.setitem(exactdet.ORACLES, "zero", (lambda m: Fraction(0), None))
     report = run_identity("multilinearity", 5, 0, VerifyConfig())
     assert report.failures == 5
+
+
+ORACLE_IDENTITIES = [identity for identity, _ in CLOSED_FORM_IDENTITIES] + [
+    "degenerate",
+    "oracle_agreement",
+    "multilinearity",
+]
+
+
+def _plus_one(det):
+    return lambda m: det(m) + 1
+
+
+@pytest.mark.parametrize("identity", ORACLE_IDENTITIES)
+def test_every_identity_reads_its_oracles_from_the_table(monkeypatch, identity):
+    """An extra wrong entry in `exactdet.ORACLES`, with no reach limit, is
+    run by every identity that consults the oracles, so each trial fails."""
+    monkeypatch.setitem(exactdet.ORACLES, "wrong", (_plus_one(exactdet.det_bareiss), None))
+    report = run_identity(identity, 20, 0, VerifyConfig())
+    assert report.failures == report.trials == 20
+
+
+def test_laplace_runs_at_exactly_its_reach(monkeypatch):
+    """At n = LAPLACE_MAX the reach admits Laplace, so a wrong Laplace
+    fails every trial."""
+    assert exactdet.ORACLES["laplace"][1] == exactdet.LAPLACE_MAX == 8
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
+    report = run_identity("theorem1", 20, 0, VerifyConfig(8, 8))
+    assert report.failures == report.trials == 20
+
+
+@pytest.mark.parametrize("identity", ["theorem1", "sign_bridge", "degenerate"])
+def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
+    """Above LAPLACE_MAX the reach keeps Laplace out: a wrong Laplace is
+    never called, so nothing fails and no LaplaceSizeError escapes, while
+    a wrong Bareiss, which has no reach limit, fails every trial."""
+    cfg = VerifyConfig(9, 10)
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
+    report = run_identity(identity, 20, 0, cfg)
+    assert report.failures == 0, report.first_counterexample
+    monkeypatch.setitem(exactdet.ORACLES, "bareiss", (_plus_one(exactdet.det_bareiss), None))
+    report = run_identity(identity, 20, 0, cfg)
+    assert report.failures == report.trials == 20
