@@ -64,6 +64,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "corollary1-no-oracles",
+        "verify.py",
+        " and _oracles_give(value, build(shifted, Fraction(0)))",
+        "",
+        ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[corollary1]",),
+    ),
+    Mutant(
+        "antisymmetry-no-oracles",
+        "verify.py",
+        "return None if _oracles_give(value, swapped_matrix) else serialize_nodes(ns)",
+        "return None",
+        ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[antisymmetry]",),
+    ),
+    Mutant(
+        "extension-no-oracles",
+        "verify.py",
+        "if not _oracles_give(f(x0), build(NodeSet(ns.nodes + (x0,)), Fraction(0))):",
+        "if False:",
+        ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",),
+    ),
+    Mutant(
         "laplace-max-9",
         "exactdet.py",
         "LAPLACE_MAX = 8",

@@ -189,11 +189,23 @@ def test_degenerate_sends_bareiss_through_elimination(monkeypatch):
     assert sum(reached) >= 0.9 * report.trials
 
 
+# identities that read a closed form from `calculus.KINDS`, with its kind
 CLOSED_FORM_IDENTITIES = [
     ("theorem1", "vieta"),
+    ("corollary1", "vieta"),
     ("sign_bridge", "vandermonde"),
+    ("antisymmetry", "vieta"),
+    ("degenerate", "vieta"),
     ("wronskian", "wronskian"),
     ("jacobian", "jacobian"),
+]
+
+
+# every identity that consults the oracles
+ORACLE_IDENTITIES = [identity for identity, _ in CLOSED_FORM_IDENTITIES] + [
+    "extension",
+    "oracle_agreement",
+    "multilinearity",
 ]
 
 
@@ -202,17 +214,19 @@ def test_identity_checks_the_tables_closed_form(monkeypatch, identity, kind):
     build, closed = calculus.KINDS[kind]
     monkeypatch.setitem(calculus.KINDS, kind, (build, lambda ns: closed(ns) + 1))
     report = run_identity(identity, 20, 0, VerifyConfig())
-    assert report.failures == report.trials
+    assert report.failures == report.trials == 20
 
 
 def test_closed_form_identities_run_laplace(monkeypatch):
-    # a VIETA_LAPLACE_MAX of 1 does not make the identities skip Laplace
+    """Every identity that consults the oracles runs Laplace at the
+    default sizes, all within its reach, so a wrong Laplace fails every
+    trial; a VIETA_LAPLACE_MAX of 1 does not make them skip it."""
     monkeypatch.setenv("VIETA_LAPLACE_MAX", "1")
     laplace = exactdet.det_laplace
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (lambda m: laplace(m) + 1, exactdet.LAPLACE_MAX))
-    for identity, _ in CLOSED_FORM_IDENTITIES:
+    for identity in ORACLE_IDENTITIES:
         report = run_identity(identity, 20, 0, VerifyConfig())
-        assert report.failures == report.trials, identity
+        assert report.failures == report.trials == 20, identity
 
 
 def test_multilinearity_checks_every_oracle_in_the_table(monkeypatch):
@@ -221,13 +235,6 @@ def test_multilinearity_checks_every_oracle_in_the_table(monkeypatch):
     monkeypatch.setitem(exactdet.ORACLES, "zero", (lambda m: Fraction(0), None))
     report = run_identity("multilinearity", 5, 0, VerifyConfig())
     assert report.failures == 5
-
-
-ORACLE_IDENTITIES = [identity for identity, _ in CLOSED_FORM_IDENTITIES] + [
-    "degenerate",
-    "oracle_agreement",
-    "multilinearity",
-]
 
 
 def _plus_one(det):
@@ -252,7 +259,7 @@ def test_laplace_runs_at_exactly_its_reach(monkeypatch):
     assert report.failures == report.trials == 20
 
 
-@pytest.mark.parametrize("identity", ["theorem1", "sign_bridge", "degenerate"])
+@pytest.mark.parametrize("identity", ["theorem1", "corollary1", "sign_bridge", "antisymmetry", "degenerate"])
 def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
     """Above LAPLACE_MAX the reach keeps Laplace out: a wrong Laplace is
     never called, so nothing fails and no LaplaceSizeError escapes, while
