@@ -7,8 +7,12 @@ blake2b("S:I:t", digest_size=8).  Trials are therefore order-independent,
 parallelizable, and bit-exactly reproducible for a given seed.
 
 Random node sets draw numerators uniformly from [-B, B] and denominators
-from [1, B] (B = coeff_bound), then canonicalize.  Identities that need
-distinct nodes resample each collision up to 100 times before giving up.
+from [1, B] (B = coeff_bound), then canonicalize.  Nodes may repeat: every
+identity holds on repeated nodes, so each set is drawn once.  Sizes span
+the config's range, with two caps: leave_one_out's brute-force sums take
+2^n terms, so it caps n at 8; oracle_agreement and multilinearity run
+every oracle, so they cap n at 6, within every oracle's reach.  The other
+identities skip an oracle beyond its reach instead.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ MAX_SEED = 2**64 - 1
 
 class UnknownIdentityError(ValueError):
     """A verify suite was asked for an identity that does not exist."""
-
-
-class NodeGenerationError(ValueError):
-    """Could not draw distinct nodes within the resampling budget."""
 
 
 class VerifyConfig(collections.namedtuple("VerifyConfig", "n_lo n_hi coeff_bound")):
@@ -105,32 +105,12 @@ def _random_size(rng: random.Random, cfg: VerifyConfig, *, min_n: int = 1, cap: 
     return rng.randint(lo, max(lo, hi))
 
 
-def random_node_set(
-    rng: random.Random,
-    cfg: VerifyConfig,
-    *,
-    min_n: int = 1,
-    cap: int | None = None,
-    distinct: bool = False,
-) -> NodeSet:
-    """Draw a random node set within the config's ranges; `min_n` and
-    `cap` bound its size as in `_random_size`."""
+def random_node_set(rng: random.Random, cfg: VerifyConfig, *, min_n: int = 1, cap: int | None = None) -> NodeSet:
+    """Draw a random node set within the config's ranges, once: nodes may
+    repeat.  `min_n` and `cap` bound its size as in `_random_size`; only
+    leave_one_out passes a cap, 8, as its brute-force sums grow as 2^n."""
     n = _random_size(rng, cfg, min_n=min_n, cap=cap)
-    if not distinct:
-        return NodeSet(tuple(random_rational(rng, cfg.coeff_bound) for _ in range(n)))
-    values: list[Fraction] = []
-    for _ in range(n):
-        value = random_rational(rng, cfg.coeff_bound)
-        attempts = 0
-        while value in values:
-            attempts += 1
-            if attempts > 100:
-                raise NodeGenerationError(
-                    f"could not draw {n} distinct nodes with coeff bound {cfg.coeff_bound}"
-                )
-            value = random_rational(rng, cfg.coeff_bound)
-        values.append(value)
-    return NodeSet(tuple(values))
+    return NodeSet(tuple(random_rational(rng, cfg.coeff_bound) for _ in range(n)))
 
 
 def _random_matrix(rng: random.Random, n: int, bound: int) -> ExactMatrix:
@@ -139,7 +119,8 @@ def _random_matrix(rng: random.Random, n: int, bound: int) -> ExactMatrix:
     )
 
 
-def _distinct_pair(rng: random.Random, n: int) -> tuple[int, int]:
+def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """Two different indices below n, in increasing order."""
     i = rng.randrange(n)
     j = rng.randrange(n - 1)
     if j >= i:
@@ -200,7 +181,7 @@ def _check_antisymmetry(rng, cfg):
     """Swapping two nodes swaps two columns and negates the closed form,
     which every oracle within its reach gives on the swapped matrix."""
     ns = random_node_set(rng, cfg, min_n=2)
-    i, j = _distinct_pair(rng, len(ns))
+    i, j = _index_pair(rng, len(ns))
     swapped_nodes = list(ns.nodes)
     swapped_nodes[i], swapped_nodes[j] = swapped_nodes[j], swapped_nodes[i]
     swapped = NodeSet(tuple(swapped_nodes))
@@ -220,7 +201,7 @@ def _check_antisymmetry(rng, cfg):
 def _check_extension(rng, cfg):
     """Appending a probe node x0 gives the degree-n extension polynomial's
     value f(x0) from every oracle within its reach."""
-    ns = random_node_set(rng, cfg, cap=6, distinct=True)
+    ns = random_node_set(rng, cfg)
     f = vieta_extension_poly(ns)
     build = KINDS["vieta"][0]
     for _ in range(3):
@@ -238,7 +219,7 @@ def _check_degenerate(rng, cfg):
     so Bareiss reaches elimination and must find the zero there."""
     ns = random_node_set(rng, cfg, min_n=2)
     nodes = list(ns.nodes)
-    i, j = _distinct_pair(rng, len(nodes))
+    i, j = _index_pair(rng, len(nodes))
     if rng.random() < 0.5:
         nodes[j] = nodes[i]
     else:
@@ -263,7 +244,7 @@ def _check_degenerate(rng, cfg):
 
 def _check_recombination(rng, cfg):
     """Column j times (x - a_j) rebuilds the full root polynomial."""
-    ns = random_node_set(rng, cfg, distinct=True)
+    ns = random_node_set(rng, cfg)
     full = poly_from_roots(ns)
     for j, poly in enumerate(nodal_basis(ns)):
         if poly * DensePolynomial.of(-ns[j], 1) != full:
@@ -303,7 +284,7 @@ def _check_leave_one_out(rng, cfg):
 def _check_wronskian(rng, cfg):
     """Wronskian determinant is probe-independent and matches the
     factorial-scaled closed form."""
-    ns = random_node_set(rng, cfg, cap=6, distinct=True)
+    ns = random_node_set(rng, cfg)
     build, closed = KINDS["wronskian"]
     value = closed(ns)
     for _ in range(3):
@@ -315,7 +296,7 @@ def _check_wronskian(rng, cfg):
 def _check_jacobian(rng, cfg):
     """Determinant matches the closed form; every partial equals its
     symmetric difference quotient, so the matrix is the e_k grid."""
-    point = random_node_set(rng, cfg, cap=8)
+    point = random_node_set(rng, cfg)
     build, closed = KINDS["jacobian"]
     matrix = build(point, Fraction(0))
     if not _oracles_give(closed(point), matrix):
@@ -357,7 +338,7 @@ def _check_multilinearity(rng, cfg):
     scaled = ExactMatrix.from_rows(
         tuple(tuple(s * e for e in row) if idx == r else row for idx, row in enumerate(matrix.entries))
     )
-    i, j = _distinct_pair(rng, n)
+    i, j = _index_pair(rng, n)
     rows = list(matrix.entries)
     rows[i], rows[j] = rows[j], rows[i]
     swapped = ExactMatrix.from_rows(tuple(rows))

@@ -85,6 +85,27 @@ MUTANTS = (
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",),
     ),
     Mutant(
+        "extension-capped",
+        "verify.py",
+        "ns = random_node_set(rng, cfg)\n    f = vieta_extension_poly(ns)",
+        "ns = random_node_set(rng, cfg, cap=6)\n    f = vieta_extension_poly(ns)",
+        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[extension]",),
+    ),
+    Mutant(
+        "wronskian-capped",
+        "verify.py",
+        'ns = random_node_set(rng, cfg)\n    build, closed = KINDS["wronskian"]',
+        'ns = random_node_set(rng, cfg, cap=6)\n    build, closed = KINDS["wronskian"]',
+        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[wronskian]",),
+    ),
+    Mutant(
+        "jacobian-capped",
+        "verify.py",
+        'point = random_node_set(rng, cfg)\n    build, closed = KINDS["jacobian"]',
+        'point = random_node_set(rng, cfg, cap=8)\n    build, closed = KINDS["jacobian"]',
+        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[jacobian]",),
+    ),
+    Mutant(
         "laplace-max-9",
         "exactdet.py",
         "LAPLACE_MAX = 8",

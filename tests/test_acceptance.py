@@ -136,7 +136,7 @@ def test_criterion_5_extension_polynomial():
         cfg = VerifyConfig(n_lo=1, n_hi=6, coeff_bound=50)
         for trial in range(100):
             rng = trial_rng(1005, "extension", trial)
-            ns = random_node_set(rng, cfg, distinct=True)
+            ns = random_node_set(rng, cfg)
             f = vieta_extension_poly(ns)
             for _ in range(3):
                 x0 = random_rational(rng, 50)
@@ -152,7 +152,7 @@ def test_criterion_6_wronskian():
         cfg = VerifyConfig(n_lo=1, n_hi=6, coeff_bound=50)
         for trial in range(100):
             rng = trial_rng(1006, "wronskian", trial)
-            ns = random_node_set(rng, cfg, distinct=True)
+            ns = random_node_set(rng, cfg)
             basis = nodal_basis(ns)
             expected = wronskian_closed(ns)
             for _ in range(3):

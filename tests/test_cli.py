@@ -178,6 +178,15 @@ def test_verify_single_suite(capsys):
     assert "sign_bridge" in err  # timing goes to stderr
 
 
+def test_verify_runs_every_identity_at_coeff_bound_1(capsys):
+    """Bound 1 draws only -1, 0 and 1, so most node sets repeat a node;
+    every identity still runs and passes."""
+    code, out, _ = run(capsys, "verify", "--coeff-bound", "1", "--trials", "5")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["identity"], r["failures"]) for r in reports] == [(name, 0) for name in IDENTITIES]
+
+
 def test_verify_repeat_is_byte_identical(capsys):
     args = ("verify", "--suite", "roundtrip,sign_bridge", "--trials", "30", "--seed", "42")
     code1, out1, _ = run(capsys, *args)

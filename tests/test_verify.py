@@ -7,7 +7,6 @@ import pytest
 from vietamat import calculus, exactdet, structmat
 from vietamat.verify import (
     IDENTITIES,
-    NodeGenerationError,
     UnknownIdentityError,
     VerifyConfig,
     random_node_set,
@@ -65,20 +64,6 @@ def test_random_node_set_min_n_and_cap():
     for trial in range(30):
         rng = trial_rng(11, "gen", trial)
         assert len(random_node_set(rng, cfg, min_n=2, cap=3)) in (2, 3)
-
-
-def test_random_node_set_distinct():
-    cfg = VerifyConfig(n_lo=6, n_hi=6, coeff_bound=50)
-    for trial in range(20):
-        ns = random_node_set(trial_rng(3, "gen", trial), cfg, distinct=True)
-        assert len(set(ns.nodes)) == len(ns)
-
-
-def test_distinct_generation_exhaustion():
-    # bound 1 only allows values -1, 0, 1; five distinct nodes cannot exist
-    cfg = VerifyConfig(n_lo=5, n_hi=5, coeff_bound=1)
-    with pytest.raises(NodeGenerationError):
-        random_node_set(trial_rng(0, "gen", 0), cfg, distinct=True)
 
 
 def test_run_identity_report_shape():
@@ -140,6 +125,14 @@ def test_run_suite_all_covers_registry():
     reports = run_suite("all", 2, 5, cfg)
     assert [r.identity for r in reports] == list(IDENTITIES)
     assert all(r.failures == 0 for r in reports)
+
+
+def test_every_identity_runs_on_forced_repeats():
+    """Coeff bound 1 allows only the nodes -1, 0 and 1, so any set of four
+    or more repeats a node; every identity still runs at every size up to
+    10 and passes."""
+    reports = run_suite("all", 5, 0, VerifyConfig(1, 10, 1))
+    assert [(r.identity, r.failures) for r in reports] == [(name, 0) for name in IDENTITIES]
 
 
 @pytest.mark.parametrize("name", list(IDENTITIES))
@@ -259,11 +252,15 @@ def test_laplace_runs_at_exactly_its_reach(monkeypatch):
     assert report.failures == report.trials == 20
 
 
-@pytest.mark.parametrize("identity", ["theorem1", "corollary1", "sign_bridge", "antisymmetry", "degenerate"])
+@pytest.mark.parametrize(
+    "identity",
+    ["theorem1", "corollary1", "sign_bridge", "antisymmetry", "extension", "degenerate", "wronskian", "jacobian"],
+)
 def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
     """Above LAPLACE_MAX the reach keeps Laplace out: a wrong Laplace is
     never called, so nothing fails and no LaplaceSizeError escapes, while
-    a wrong Bareiss, which has no reach limit, fails every trial."""
+    a wrong Bareiss, which has no reach limit, fails every trial.  So each
+    identity draws n from the requested range, not below it."""
     cfg = VerifyConfig(9, 10)
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
     report = run_identity(identity, 20, 0, cfg)
