@@ -7,20 +7,22 @@ digest of the canonical result string, so agreement across methods is a
 one-line check downstream.
 
 Timings are raw wall-clock per repeat; statistics stay in downstream
-tooling.
+tooling.  The seeded draws (`trial_rng`, `random_rational`) live here and
+verify imports them, so `bench` runs without loading verify.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 import time
+from fractions import Fraction
 from typing import NamedTuple
 
 from .calculus import KINDS
 from .exactdet import METHODS, ORACLES
 from .rational import render_rational
 from .sympoly import NodeSet
-from .verify import random_rational, trial_rng
 
 
 class BenchRecord(NamedTuple):
@@ -39,6 +41,17 @@ class BenchRecord(NamedTuple):
 def result_hash(value) -> str:
     """Digest of the canonical rational text of a determinant."""
     return hashlib.sha256(render_rational(value).encode("ascii")).hexdigest()
+
+
+def trial_rng(seed: int, identity: str, trial: int) -> random.Random:
+    """Per-trial RNG from the counter-splitting rule documented in
+    `verify`; `bench_node_set` draws from it too, under identity "bench"."""
+    digest = hashlib.blake2b(f"{seed}:{identity}:{trial}".encode("ascii"), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+def random_rational(rng: random.Random, bound: int) -> Fraction:
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def bench_node_set(seed: int, n: int, entry_bits: int) -> NodeSet:

@@ -74,10 +74,10 @@ def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> tuple
 
 def wronskian_closed(ns: NodeSet) -> Fraction:
     """Closed-form Wronskian of the nodal basis: prod_{k<n} k! times the
-    node-difference product.  Independent of the evaluation point; the
-    factorials are multiplied only when the product is nonzero."""
-    det = vieta_det_closed(ns)
-    return det * math.prod(math.factorial(k) for k in range(len(ns))) if det else det
+    node-difference product.  Independent of the evaluation point.  Each
+    k! goes through the same reduction as the cross differences, and is
+    computed only after `vieta_det_closed` has found no repeated node."""
+    return vieta_det_closed(ns, factors=map(math.factorial, range(len(ns))))
 
 
 # The partial d e_{r+1} / d x_{c+1} is e_r of the other coordinates, so the

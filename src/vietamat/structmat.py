@@ -10,10 +10,12 @@ prod_{k>i} (a_k - a_i), and the two products differ exactly by the sign
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
-from typing import Iterable
+from itertools import chain
+from math import gcd, lcm, prod
+from typing import Iterable, NamedTuple
 
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, poly_from_roots
 
@@ -89,23 +91,80 @@ def build_vieta(ns: NodeSet) -> ExactMatrix:
     return ExactMatrix(zip(*columns), denominators)
 
 
-def vieta_det_closed(ns: NodeSet) -> Fraction:
-    """Closed-form determinant of `build_vieta`: prod_{i<k} (a_i - a_k).
+def vieta_det_closed(ns: NodeSet, *, factors: Iterable[int] = ()) -> Fraction:
+    """Closed-form determinant of `build_vieta`: prod_{i<k} (a_i - a_k),
+    times the nonzero ints `factors` (none by default).
 
-    With a_i = p_i / q_i, the integer cross differences
-    p_i q_k - p_k q_i are multiplied and reduced once against
-    (prod_i q_i)^(n-1).  The empty product (n = 1) is 1.  A repeated
-    node, wherever it sits, zeroes a cross difference, so the nodes are
-    checked for a repeat before anything is multiplied.  They are
+    With a_i = p_i / q_i and Q = prod_i q_i, the value is the product of
+    the cross differences d_ik = p_i q_k - p_k q_i over Q^(n-1).  The
+    empty product (n = 1) is 1.  A repeated node, wherever it sits,
+    zeroes a cross difference, so the nodes are checked for a repeat
+    before anything is multiplied and before `factors` is read.  They are
     compared as (p, q) pairs: a Fraction is in lowest terms, so equal
     nodes have equal pairs, and a pair hashes far faster than a Fraction.
+
+    No gcd or division takes the full products.  Each row product
+    prod_{k>i} d_ik, and then each of `factors`, splits into a Q-smooth
+    part and a part coprime to Q: g = gcd(f, Q), then f //= g and
+    g = gcd(f, g) until g is 1.  Only the product S of the smooth parts
+    can share a prime with Q^(n-1), and it is cancelled one copy of Q at
+    a time: h = gcd(S, Q), S //= h, keep Q // h, until S is 1 or the n - 1
+    copies are used.  Each h divides the one before, so after the first
+    it is gcd(S, h), a smaller operand.  For each prime, one of S // h and
+    Q // h keeps none of it, so every kept Q // h is coprime to the S that
+    remains, and the pair is in lowest terms without a final gcd.
     """
-    nodes = ns.nodes
-    pairs = [(a.numerator, a.denominator) for a in nodes]
+    pairs = [(a.numerator, a.denominator) for a in ns.nodes]
     if len(set(pairs)) < len(pairs):
         return Fraction(0)
-    num = prod(p * s - r * q for i, (p, q) in enumerate(pairs) for r, s in pairs[i + 1:])
-    return Fraction(num, prod(q for _, q in pairs) ** (len(pairs) - 1))
+    q = product_tree([t for _, t in pairs])
+    # A row multiplies at most n - 1 factors of two entries' size, which a
+    # linear product does as fast as a tree.
+    rows = (prod([p * t - r * s for r, t in pairs[i + 1:]]) for i, (p, s) in enumerate(pairs))
+    smooth, coprime = [], []
+    for f in chain(rows, factors):
+        g = gcd(f, q)
+        while g > 1:
+            smooth.append(g)
+            f //= g
+            g = gcd(f, g)
+        coprime.append(f)
+    s = product_tree(smooth)
+    kept, h = [], q
+    while s > 1 and len(kept) < len(pairs) - 1:
+        h = gcd(s, h)
+        s //= h
+        kept.append(q // h)
+    kept.append(q ** (len(pairs) - 1 - len(kept)))
+    coprime.append(s)
+    return Fraction(_LowestTerms(product_tree(coprime), product_tree(kept)))
+
+
+class _LowestTerms(NamedTuple):
+    """A numerator and a positive denominator that share no prime.
+
+    Registered as a `numbers.Rational`, so `Fraction(_LowestTerms(p, q))`
+    takes the pair as it stands, without a gcd: CPython 3.10-3.13 copy a
+    Rational's two attributes.  A version that reduced them again would
+    only be slower.
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def product_tree(factors: list[int]) -> int:
+    """Product of ints, split in halves down to runs of at most 8 factors,
+    each multiplied in turn.  The large multiplications then join
+    operands of similar size, where CPython's Karatsuba pays, instead of
+    one growing product and a small factor.  The empty product is 1."""
+    if len(factors) <= 8:
+        return prod(factors)
+    mid = len(factors) // 2
+    return product_tree(factors[:mid]) * product_tree(factors[mid:])
 
 
 def build_vandermonde(ns: NodeSet) -> ExactMatrix:

@@ -3,8 +3,9 @@
 Every identity is checked on independently generated random inputs.
 Seeding is splittable and documented: trial t of identity I under master
 seed S derives its own RNG from the 64-bit big-endian value of
-blake2b("S:I:t", digest_size=8).  Trials are therefore order-independent,
-parallelizable, and bit-exactly reproducible for a given seed.
+blake2b("S:I:t", digest_size=8), drawn by `bench.trial_rng`.  Trials are
+therefore order-independent, parallelizable, and bit-exactly
+reproducible for a given seed.
 
 Random node sets draw numerators uniformly from [-B, B] and denominators
 from [1, B] (B = coeff_bound), then canonicalize.  Nodes may repeat: every
@@ -18,7 +19,6 @@ identities skip an oracle beyond its reach instead.
 from __future__ import annotations
 
 import collections
-import hashlib
 import itertools
 import json
 import random
@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
+from .bench import random_rational, trial_rng
 from .calculus import KINDS, nodal_basis
 from .exactdet import ORACLES
 from .matio import serialize_nodes
@@ -81,16 +82,6 @@ class VerifyReport(NamedTuple):
             ),
         }
         return json.dumps(payload)
-
-
-def trial_rng(seed: int, identity: str, trial: int) -> random.Random:
-    """Per-trial RNG from the documented counter-splitting rule."""
-    digest = hashlib.blake2b(f"{seed}:{identity}:{trial}".encode("ascii"), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-def random_rational(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def _random_size(rng: random.Random, cfg: VerifyConfig, *, min_n: int = 1, cap: int | None = None) -> int:

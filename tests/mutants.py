@@ -184,6 +184,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "closed-repeat-check-late",
+        "structmat.py",
+        "    if len(set(pairs)) < len(pairs):\n        return Fraction(0)\n    q = product_tree([t for _, t in pairs])\n",
+        "    q = product_tree([t for _, t in pairs])\n    if len(set(pairs)) < len(pairs):\n        return Fraction(0)\n",
+        ("tests/test_calculus.py::test_repeated_node_anywhere_multiplies_nothing",),
+    ),
+    Mutant(
+        "closed-split-one-pass",
+        "structmat.py",
+        "while g > 1:",
+        "if g > 1:",
+        ("tests/test_calculus.py::test_closed_forms_match_naive_product",),
+    ),
+    Mutant(
+        "closed-cancel-keeps-s",
+        "structmat.py",
+        "        s //= h\n",
+        "",
+        ("tests/test_calculus.py::test_closed_forms_match_naive_product",),
+    ),
+    Mutant(
+        "closed-cancel-keeps-q",
+        "structmat.py",
+        "kept.append(q // h)",
+        "kept.append(q)",
+        ("tests/test_calculus.py::test_closed_forms_match_naive_product",),
+    ),
+    Mutant(
         "vandermonde-q-powers-forward",
         "structmat.py",
         "zip(p_pow, reversed(q_pow))",

@@ -36,3 +36,17 @@ def test_det_and_build_load_neither_verify_nor_bench(tmp_path):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[] ['json']"
+
+
+def test_bench_loads_neither_verify_nor_json():
+    """`bench` draws its node sets with its own seeded helpers, so it
+    loads neither verify nor the json module verify needs."""
+    probe = (
+        "import sys\n"
+        "from vietamat.cli import main\n"
+        "assert main(['bench', '--n', '4,8']) == 0\n"
+        "print(sorted(m for m in ('vietamat.verify', 'json') if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
