@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .structmat import ExactMatrix, build_vandermonde, build_vieta, vandermonde_det_closed, vieta_det_closed
+from .structmat import ExactMatrix, build_vandermonde, build_vieta, shift_nodes, vandermonde_det_closed, vieta_det_closed
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, monic
 
 
@@ -34,42 +34,16 @@ def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
 
 
 def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:
-    """Matrix with entry (r, j) = r-th derivative of polys[j] at x0.
+    """Matrix with entry (r, j) = r-th derivative of basis[j] at x0.
 
-    Works for any polynomial family, of any degree.  Column j comes from
-    one integer Taylor shift of polys[j] by x0 = u / v: with D its
-    denominator and d its degree, the integer polynomial
-    G(y) = D v^d p(y / v) is shifted to G(u + s) by Horner steps (von zur
-    Gathen & Gerhard, ISSAC 1997), whose coefficient h_r gives
-    p^(r)(x0) = r! h_r v^r / (D v^d): the column is ints over D v^d,
-    with nothing reduced.  O(d^2) integer steps per column.  An empty
-    family is rejected, as any empty matrix is.
+    Works for any polynomial family, of any degree.  Column j is
+    `basis[j].derivatives(x0, n)`: ints over one denominator, nothing
+    reduced.  An empty family is rejected, as any empty matrix is.
     """
     n = len(basis)
     x0 = Fraction(x0)
-    columns = [_taylor_derivatives(p, x0.numerator, x0.denominator, n) for p in basis]
+    columns = [p.derivatives(x0, n) for p in basis]
     return ExactMatrix(zip(*(column for column, _ in columns)), [d for _, d in columns])
-
-
-def _taylor_derivatives(p: DensePolynomial, u: int, v: int, count: int) -> tuple[list[int], int]:
-    """[p(x0), p'(x0), ..., p^(count-1)(x0)] at x0 = u / v, as ints over
-    one denominator."""
-    coeffs = p.numerators
-    d = len(coeffs) - 1
-    out = [0] * count
-    v_pow = [1]
-    for _ in range(d):
-        v_pow.append(v_pow[-1] * v)
-    g = [c * v_pow[d - m] for m, c in enumerate(coeffs)]
-    if u:
-        for i in range(d):
-            for k in range(d - 1, i - 1, -1):
-                g[k] += u * g[k + 1]
-    factorial = 1
-    for r in range(min(d + 1, count)):
-        out[r] = factorial * g[r] * v_pow[r]
-        factorial *= r + 1
-    return out, p.denominator * v_pow[-1]
 
 
 def wronskian_closed(ns: NodeSet) -> Fraction:
@@ -89,10 +63,12 @@ jacobian_det_closed = vieta_det_closed
 
 
 # The one kind -> (build(nodes, at), closed(nodes)) table, read by the CLI
-# and by verify; `at` matters only for wronskian.
+# and by verify; `at` matters only for wronskian.  W(a; x0) = W(a - x0; 0)
+# entry for entry, as p_j(x0 + y) is the nodal polynomial of a - x0, so the
+# Wronskian is built at 0, where the kernel runs no Taylor pass: O(n^2).
 KINDS = {
     "vieta": (lambda ns, at: build_vieta(ns), vieta_det_closed),
     "vandermonde": (lambda ns, at: build_vandermonde(ns), vandermonde_det_closed),
-    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(ns), at), wronskian_closed),
+    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(shift_nodes(ns, at)), 0), wronskian_closed),
     "jacobian": (lambda ns, at: jacobian_matrix(ns), jacobian_det_closed),
 }

@@ -116,14 +116,38 @@ class DensePolynomial:
         return f"DensePolynomial.of{self.coefficients!r}"
 
     def __call__(self, x: Fraction) -> Fraction:
-        """Evaluate at x = u / v by Horner's rule on ints: the sum of
-        numerators[m] u^m v^(d-m), over denominator * v^d, reduced once."""
-        u, v = x.numerator, x.denominator
-        acc, v_pow = 0, 1
-        for c in reversed(self.numerators):
-            acc = acc * u + c * v_pow
-            v_pow *= v
-        return Fraction(acc * v, self.denominator * v_pow)
+        """Evaluate at x: the first entry of `derivatives`, reduced once."""
+        (value,), denominator = self.derivatives(x, 1)
+        return Fraction(value, denominator)
+
+    def derivatives(self, x0: Fraction, count: int) -> tuple[list[int], int]:
+        """[p(x0), p'(x0), ..., p^(count-1)(x0)] as ints over one
+        denominator, unreduced: the one integer Taylor kernel.
+
+        For x0 = u / v, D the denominator and d the degree, the integer
+        polynomial G(y) = D v^d p(y / v) is shifted to G(u + s) by Horner
+        passes (von zur Gathen & Gerhard, ISSAC 1997).  Pass r fixes the
+        coefficient h_r of s^r, and p^(r)(x0) = r! h_r v^r / (D v^d); so
+        only min(count, d) passes run: count = 1 is Horner's rule, and at
+        x0 = 0 none runs.  O(count d) integer steps.
+        """
+        u, v = x0.numerator, x0.denominator
+        coeffs = self.numerators
+        d = len(coeffs) - 1
+        v_pow = [1]
+        for _ in range(d):
+            v_pow.append(v_pow[-1] * v)
+        g = [c * v_pow[d - m] for m, c in enumerate(coeffs)]
+        if u:
+            for i in range(min(count, d)):
+                for k in range(d - 1, i - 1, -1):
+                    g[k] += u * g[k + 1]
+        out = [0] * count
+        factorial = 1
+        for r in range(min(d + 1, count)):
+            out[r] = factorial * g[r] * v_pow[r]
+            factorial *= r + 1
+        return out, self.denominator * v_pow[-1]
 
     def __mul__(self, other):
         if isinstance(other, DensePolynomial):

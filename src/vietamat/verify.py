@@ -72,15 +72,8 @@ class VerifyReport(NamedTuple):
     def json_line(self) -> str:
         """Deterministic JSON projection; timing is excluded so reruns
         with the same seed match byte for byte."""
-        payload = {
-            "identity": self.identity,
-            "trials": self.trials,
-            "failures": self.failures,
-            "seed": self.seed,
-            "first_counterexample": (
-                list(self.first_counterexample) if self.first_counterexample is not None else None
-            ),
-        }
+        payload = self._asdict()
+        del payload["elapsed_ms"]
         return json.dumps(payload)
 
 

@@ -175,12 +175,32 @@ MUTANTS = (
     ),
     Mutant(
         "taylor-no-v-power",
-        "calculus.py",
+        "sympoly.py",
         "out[r] = factorial * g[r] * v_pow[r]",
         "out[r] = factorial * g[r]",
         (
-            "tests/test_calculus.py::test_builders_match_naive_fractions[wronskian]",
+            "tests/test_calculus.py::test_wronskian_probe_independent_and_closed",
             "tests/test_calculus.py::test_wronskian_matrix_matches_derivatives",
+        ),
+    ),
+    Mutant(
+        "taylor-short-pass",
+        "sympoly.py",
+        "for i in range(min(count, d)):",
+        "for i in range(min(count, d) - 1):",
+        (
+            "tests/test_calculus.py::test_wronskian_matrix_matches_derivatives",
+            "tests/test_calculus.py::test_nodal_basis_vanishing_pattern",
+        ),
+    ),
+    Mutant(
+        "shift-dropped",
+        "calculus.py",
+        "nodal_basis(shift_nodes(ns, at)), 0)",
+        "nodal_basis(ns), 0)",
+        (
+            "tests/test_calculus.py::test_builders_match_naive_fractions[wronskian]",
+            "tests/test_cli.py::test_build_output_is_pinned",
         ),
     ),
     Mutant(

@@ -17,6 +17,7 @@ from vietamat.calculus import (
     wronskian_matrix,
 )
 from vietamat.exactdet import det_bareiss
+from vietamat.matio import matrix_to_json
 from vietamat.structmat import build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
 from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
@@ -177,6 +178,38 @@ def test_wronskian_matrix_matches_derivatives(polys, x0):
     n = len(polys)
     m = wronskian_matrix(polys, x0)
     assert m.entries == tuple(tuple(poly_derivative(p, r)(x0) for p in polys) for r in range(n))
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [
+        bench_node_set(0, 32, 16),
+        NodeSet.of(Fraction(-5, 3), 0, 7, Fraction(-5, 3), Fraction(11, 4), 0, Fraction(-9, 8)),
+    ],
+    ids=["bench-32", "zero-and-repeated"],
+)
+def test_kinds_wronskian_matches_the_taylor_route(ns):
+    """`KINDS` builds the Wronskian at 0 on the shifted nodes; its rendered
+    bytes equal the Taylor-shifted columns' at the point itself."""
+    x0 = Fraction(-12345, 6789)
+    build, _ = KINDS["wronskian"]
+    assert matrix_to_json(build(ns, x0)) == matrix_to_json(wronskian_matrix(nodal_basis(ns), x0))
+
+
+def test_kinds_wronskian_never_taylor_shifts(monkeypatch):
+    """The library's Wronskian reads every column at 0, where the kernel
+    runs no shift pass.  A size bound cannot tell the routes apart (the
+    shifted nodes carry x0's denominator), so the points are recorded."""
+    real = DensePolynomial.derivatives
+    points = []
+
+    def recording(self, x0, count):
+        points.append(x0)
+        return real(self, x0, count)
+
+    monkeypatch.setattr(DensePolynomial, "derivatives", recording)
+    KINDS["wronskian"][0](bench_node_set(0, 16, 16), Fraction(-12345, 6789))
+    assert len(points) == 16 and all(x0 == 0 for x0 in points)
 
 
 @example(values=[Fraction(4)])

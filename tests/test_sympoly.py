@@ -120,6 +120,10 @@ def test_polynomial_evaluate():
     assert p(Fraction(0)) == 6
     assert p(Fraction(2)) == 0
     assert DensePolynomial.zero()(Fraction(3)) == 0
+    assert p(Fraction(5, 2)) == Fraction(-1, 4)
+    q = DensePolynomial.of(Fraction(1, 2), Fraction(-2, 3), 0, Fraction(3, 4))  # 3/4 x^3 - 2/3 x + 1/2
+    x = Fraction(-2, 5)
+    assert q(x) == Fraction(3, 4) * x**3 - Fraction(2, 3) * x + Fraction(1, 2) == Fraction(539, 750)
 
 
 def test_polynomial_multiplication():
