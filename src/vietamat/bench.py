@@ -58,7 +58,7 @@ def bench_node_set(seed: int, n: int, entry_bits: int) -> NodeSet:
     """Deterministic node set for size n with entry_bits-sized parts."""
     rng = trial_rng(seed, "bench", n)
     top = 2**entry_bits - 1
-    return NodeSet(tuple(random_rational(rng, top) for _ in range(n)))
+    return NodeSet(random_rational(rng, top) for _ in range(n))
 
 
 def run_bench(

@@ -41,7 +41,7 @@ def parse_nodes_text(text: str) -> NodeSet:
         except RationalParseError as exc:
             raise RationalParseError(text, offset + exc.position, exc.reason) from None
         offset += len(piece) + 1
-    return NodeSet(tuple(nodes))
+    return NodeSet(nodes)
 
 
 def load_nodes_file(path: str | Path) -> NodeSet:
@@ -66,7 +66,7 @@ def load_nodes_file(path: str | Path) -> NodeSet:
         raise NodesFileError(f'node file {path}: "nodes" must be a non-empty array')
     if not all(isinstance(v, str) for v in values):
         raise NodesFileError(f'node file {path}: nodes must be rational strings, not numbers')
-    return NodeSet(tuple(parse_rational(v) for v in values))
+    return NodeSet(parse_rational(v) for v in values)
 
 
 def serialize_nodes(ns: NodeSet) -> tuple[str, ...]:

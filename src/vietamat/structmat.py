@@ -114,7 +114,7 @@ def vieta_det_closed(ns: NodeSet, *, factors: Iterable[int] = ()) -> Fraction:
     Q // h keeps none of it, so every kept Q // h is coprime to the S that
     remains, and the pair is in lowest terms without a final gcd.
     """
-    pairs = [(a.numerator, a.denominator) for a in ns.nodes]
+    pairs = [(a.numerator, a.denominator) for a in ns]
     if len(set(pairs)) < len(pairs):
         return Fraction(0)
     q = product_tree([t for _, t in pairs])
@@ -198,7 +198,7 @@ def shift_nodes(ns: NodeSet, c: Fraction) -> NodeSet:
     The closed-form determinant is invariant under this shift even though
     the matrix entries all change.
     """
-    return NodeSet(tuple(a - c for a in ns.nodes))
+    return NodeSet(a - c for a in ns)
 
 
 def vieta_extension_poly(ns: NodeSet) -> DensePolynomial:

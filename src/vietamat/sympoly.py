@@ -12,55 +12,32 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
-class NodeSet:
+class NodeSet(tuple):
     """Ordered rational nodes; at least one node, duplicates allowed.
 
-    Immutable, and equal node sets compare and hash equal.  A plain class
-    rather than a frozen dataclass: importing `dataclasses` would cost
-    every CLI process more than the command's own arithmetic.
+    A tuple of `Fraction`s, equal to the plain tuple of its nodes;
+    `NodeSet(nodes)` converts only the values that are not `Fraction`s.
     """
 
-    def __init__(self, nodes: tuple[Fraction, ...]):
-        coerced = tuple(Fraction(v) for v in nodes)
-        if not coerced:
+    __slots__ = ()
+
+    def __new__(cls, nodes: Iterable[Fraction]):
+        self = super().__new__(cls, (v if type(v) is Fraction else Fraction(v) for v in nodes))
+        if not self:
             raise ValueError("a node set needs at least one node")
-        object.__setattr__(self, "nodes", coerced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a NodeSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a NodeSet is immutable")
-
-    def __eq__(self, other):
-        return self.nodes == other.nodes if isinstance(other, NodeSet) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.nodes)
-
-    def __repr__(self):
-        return f"NodeSet(nodes={self.nodes!r})"
+        return self
 
     @classmethod
     def of(cls, *values) -> "NodeSet":
         """Convenience constructor accepting ints, strings, or Fractions."""
         return cls(values)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.nodes)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.nodes[index]
-
     def without(self, index: int) -> tuple[Fraction, ...]:
         """All nodes except the one at `index`, order preserved."""
-        return self.nodes[:index] + self.nodes[index + 1:]
+        return self[:index] + self[index + 1:]
 
 
 class DensePolynomial:

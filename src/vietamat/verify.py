@@ -28,7 +28,7 @@ from math import prod
 from typing import NamedTuple
 
 from .bench import random_rational, trial_rng
-from .calculus import KINDS, nodal_basis
+from .calculus import KINDS, nodal_basis, wronskian_matrix
 from .exactdet import ORACLES
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
@@ -46,7 +46,8 @@ class VerifyConfig(collections.namedtuple("VerifyConfig", "n_lo n_hi coeff_bound
     """Shared knobs for random input generation.
 
     An immutable value: a namedtuple validated on construction, not a
-    dataclass, for the reason given on `NodeSet`.
+    dataclass.  Importing `dataclasses` takes about as long as importing
+    this module, and every cold `vietamat verify` process would pay it.
     """
 
     __slots__ = ()
@@ -94,7 +95,7 @@ def random_node_set(rng: random.Random, cfg: VerifyConfig, *, min_n: int = 1, ca
     repeat.  `min_n` and `cap` bound its size as in `_random_size`; only
     leave_one_out passes a cap, 8, as its brute-force sums grow as 2^n."""
     n = _random_size(rng, cfg, min_n=min_n, cap=cap)
-    return NodeSet(tuple(random_rational(rng, cfg.coeff_bound) for _ in range(n)))
+    return NodeSet(random_rational(rng, cfg.coeff_bound) for _ in range(n))
 
 
 def _random_matrix(rng: random.Random, n: int, bound: int) -> ExactMatrix:
@@ -166,9 +167,9 @@ def _check_antisymmetry(rng, cfg):
     which every oracle within its reach gives on the swapped matrix."""
     ns = random_node_set(rng, cfg, min_n=2)
     i, j = _index_pair(rng, len(ns))
-    swapped_nodes = list(ns.nodes)
+    swapped_nodes = list(ns)
     swapped_nodes[i], swapped_nodes[j] = swapped_nodes[j], swapped_nodes[i]
-    swapped = NodeSet(tuple(swapped_nodes))
+    swapped = NodeSet(swapped_nodes)
     build, closed = KINDS["vieta"]
     value = -closed(ns)
     if closed(swapped) != value:
@@ -190,7 +191,7 @@ def _check_extension(rng, cfg):
     build = KINDS["vieta"][0]
     for _ in range(3):
         x0 = random_rational(rng, cfg.coeff_bound)
-        if not _oracles_give(f(x0), build(NodeSet(ns.nodes + (x0,)), Fraction(0))):
+        if not _oracles_give(f(x0), build(NodeSet(ns + (x0,)), Fraction(0))):
             return serialize_nodes(ns)
     return None
 
@@ -202,14 +203,14 @@ def _check_degenerate(rng, cfg):
     oracle within its reach too: no two of its stored columns are equal,
     so Bareiss reaches elimination and must find the zero there."""
     ns = random_node_set(rng, cfg, min_n=2)
-    nodes = list(ns.nodes)
+    nodes = list(ns)
     i, j = _index_pair(rng, len(nodes))
     if rng.random() < 0.5:
         nodes[j] = nodes[i]
     else:
         nodes[i] = Fraction(0)
         nodes[j] = Fraction(0)
-    degenerate = NodeSet(tuple(nodes))
+    degenerate = NodeSet(nodes)
     build, closed = KINDS["vieta"]
     matrix = build(degenerate, Fraction(0))
     if closed(degenerate) != 0 or not _oracles_give(Fraction(0), matrix):
@@ -242,7 +243,7 @@ def _check_permutation(rng, cfg):
     n = len(ns)
     sigma = list(range(n))
     rng.shuffle(sigma)
-    permuted = NodeSet(tuple(ns[sigma[j]] for j in range(n)))
+    permuted = NodeSet(ns[sigma[j]] for j in range(n))
     if elem_sym_all(permuted) != elem_sym_all(ns):
         return serialize_nodes(ns)
     columns = list(zip(*leave_one_out_table(ns)))
@@ -266,13 +267,17 @@ def _check_leave_one_out(rng, cfg):
 
 
 def _check_wronskian(rng, cfg):
-    """Wronskian determinant is probe-independent and matches the
-    factorial-scaled closed form."""
+    """At each probe point the `KINDS` build equals the Taylor route,
+    `wronskian_matrix` of the nodal basis, and its determinant is
+    probe-independent and matches the factorial-scaled closed form."""
     ns = random_node_set(rng, cfg)
     build, closed = KINDS["wronskian"]
+    basis = nodal_basis(ns)
     value = closed(ns)
     for _ in range(3):
-        if not _oracles_give(value, build(ns, random_rational(rng, cfg.coeff_bound))):
+        x0 = random_rational(rng, cfg.coeff_bound)
+        matrix = build(ns, x0)
+        if matrix != wronskian_matrix(basis, x0) or not _oracles_give(value, matrix):
             return serialize_nodes(ns)
     return None
 
@@ -288,12 +293,12 @@ def _check_jacobian(rng, cfg):
     n = len(point)
     h = Fraction(1, 7)
     for c in range(n):
-        plus = list(point.nodes)
-        minus = list(point.nodes)
+        plus = list(point)
+        minus = list(point)
         plus[c] += h
         minus[c] -= h
-        e_plus = elem_sym_all(NodeSet(tuple(plus)))
-        e_minus = elem_sym_all(NodeSet(tuple(minus)))
+        e_plus = elem_sym_all(NodeSet(plus))
+        e_minus = elem_sym_all(NodeSet(minus))
         for r in range(1, n + 1):
             # e_r is degree <= 1 in each coordinate, so the symmetric
             # quotient is the exact partial, not an approximation

@@ -80,7 +80,7 @@ MUTANTS = (
     Mutant(
         "extension-no-oracles",
         "verify.py",
-        "if not _oracles_give(f(x0), build(NodeSet(ns.nodes + (x0,)), Fraction(0))):",
+        "if not _oracles_give(f(x0), build(NodeSet(ns + (x0,)), Fraction(0))):",
         "if False:",
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",),
     ),
@@ -171,7 +171,10 @@ MUTANTS = (
         "exactdet.py",
         "contents = [gcd(*row) for row in m.numerators]",
         "contents = [int(any(row)) for row in m.numerators]",
-        ("tests/test_exactdet.py::test_bareiss_row_contents_match_leibniz",),
+        (
+            "tests/test_exactdet.py::test_bareiss_row_contents_match_leibniz",
+            "tests/test_exactdet.py::test_bareiss_24_rational_nodes_match_closed_form_with_small_dividends",
+        ),
     ),
     Mutant(
         "taylor-no-v-power",
@@ -201,7 +204,29 @@ MUTANTS = (
         (
             "tests/test_calculus.py::test_builders_match_naive_fractions[wronskian]",
             "tests/test_cli.py::test_build_output_is_pinned",
+            "tests/test_verify.py::test_wronskian_compares_the_kinds_build_with_the_taylor_route",
         ),
+    ),
+    Mutant(
+        "wronskian-no-route-check",
+        "verify.py",
+        "matrix != wronskian_matrix(basis, x0) or ",
+        "",
+        ("tests/test_verify.py::test_wronskian_compares_the_kinds_build_with_the_taylor_route",),
+    ),
+    Mutant(
+        "nodeset-empty-ok",
+        "sympoly.py",
+        '        if not self:\n            raise ValueError("a node set needs at least one node")\n',
+        "",
+        ("tests/test_sympoly.py::test_node_set_rejects_empty",),
+    ),
+    Mutant(
+        "nodeset-no-coerce",
+        "sympoly.py",
+        "(v if type(v) is Fraction else Fraction(v) for v in nodes)",
+        "nodes",
+        ("tests/test_sympoly.py::test_node_set_is_an_immutable_value",),
     ),
     Mutant(
         "closed-repeat-check-late",

@@ -93,12 +93,12 @@ def test_criterion_3_degenerate_cases():
         for trial in range(50):
             rng = trial_rng(1003, "zeros", trial)
             ns = random_node_set(rng, cfg)
-            nodes = list(ns.nodes)
+            nodes = list(ns)
             nodes[rng.randrange(len(nodes))] = Fraction(0)
             spots = [i for i in range(len(nodes)) if nodes[i] != 0]
             if spots:
                 nodes[rng.choice(spots)] = Fraction(0)
-            two_zeros = NodeSet(tuple(nodes))
+            two_zeros = NodeSet(nodes)
             matrix = build_vieta(two_zeros)
             assert all(e == 0 for e in matrix.entries[-1])
             assert vieta_det_closed(two_zeros) == 0
@@ -106,13 +106,13 @@ def test_criterion_3_degenerate_cases():
         for trial in range(50):
             rng = trial_rng(1003, "repeats", trial)
             ns = random_node_set(rng, cfg)
-            nodes = list(ns.nodes)
+            nodes = list(ns)
             i = rng.randrange(len(nodes))
             j = rng.randrange(len(nodes) - 1)
             if j >= i:
                 j += 1
             nodes[j] = nodes[i]
-            repeated = NodeSet(tuple(nodes))
+            repeated = NodeSet(nodes)
             assert vieta_det_closed(repeated) == 0
             assert det_bareiss(build_vieta(repeated)) == 0
 
@@ -140,7 +140,7 @@ def test_criterion_5_extension_polynomial():
             f = vieta_extension_poly(ns)
             for _ in range(3):
                 x0 = random_rational(rng, 50)
-                extended = NodeSet(ns.nodes + (x0,))
+                extended = NodeSet(ns + (x0,))
                 assert det_bareiss(build_vieta(extended)) == f(x0)
 
 
@@ -175,12 +175,12 @@ def test_criterion_7_jacobian():
             assert matrix.entries == build_vieta(point).entries
             assert det_bareiss(matrix) == jacobian_det_closed(point)
             for c in range(n):
-                plus = list(point.nodes)
-                minus = list(point.nodes)
+                plus = list(point)
+                minus = list(point)
                 plus[c] += h
                 minus[c] -= h
-                e_plus = elem_sym_all(NodeSet(tuple(plus)))
-                e_minus = elem_sym_all(NodeSet(tuple(minus)))
+                e_plus = elem_sym_all(NodeSet(plus))
+                e_minus = elem_sym_all(NodeSet(minus))
                 for r in range(1, n + 1):
                     assert (e_plus[r] - e_minus[r]) / (2 * h) == matrix.entries[r - 1][c]
 

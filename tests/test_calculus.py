@@ -133,7 +133,7 @@ def test_jacobian_det_examples():
 @example(values=[Fraction(0), Fraction(0), Fraction(5)])
 @given(values=pooled_points)
 def test_nodal_basis_matches_poly_from_roots(values):
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     basis = nodal_basis(ns)
     assert len(basis) == len(values)
     for j, poly in enumerate(basis):
@@ -142,7 +142,7 @@ def test_nodal_basis_matches_poly_from_roots(values):
 
 @given(values=distinct_nodes)
 def test_nodal_basis_vanishing_pattern(values):
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     basis = nodal_basis(ns)
     for j, poly in enumerate(basis):
         for i, node in enumerate(values):
@@ -159,7 +159,7 @@ def test_nodal_basis_vanishing_pattern(values):
 @settings(max_examples=40)
 @given(values=distinct_nodes, probes=st.lists(rationals, min_size=3, max_size=3))
 def test_wronskian_probe_independent_and_closed(values, probes):
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     basis = nodal_basis(ns)
     expected = wronskian_closed(ns)
     for x0 in probes:
@@ -222,7 +222,7 @@ def test_closed_forms_match_naive_product(values):
     Fraction holds the pair that `Fraction(num, den)` would reduce to:
     the closed forms build it without normalising, and a pair not in
     lowest terms would compare and hash wrong."""
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     n = len(values)
     pairs = list(itertools.combinations(range(n), 2))
     forward = math.prod((values[i] - values[k] for i, k in pairs), start=Fraction(1))
@@ -266,7 +266,7 @@ def test_repeated_node_anywhere_multiplies_nothing(monkeypatch, i, j):
     monkeypatch.setattr(math, "factorial", refuse)
     values = [Fraction(3 * k - 7, k + 2) for k in range(12)]
     values[j] = values[i]
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     for kind, (_, closed) in KINDS.items():
         assert closed(ns) == 0, kind
     assert vieta_extension_poly(ns) == DensePolynomial.zero()
@@ -297,7 +297,7 @@ def test_closed_forms_take_no_gcd_of_the_full_products(monkeypatch):
 
 @given(values=points)
 def test_jacobian_equals_vieta_and_closed(values):
-    point = NodeSet(tuple(values))
+    point = NodeSet(values)
     m = jacobian_matrix(point)
     assert m.entries == build_vieta(point).entries
     assert det_bareiss(m) == jacobian_det_closed(point) == vieta_det_closed(point)
@@ -307,17 +307,17 @@ def test_jacobian_equals_vieta_and_closed(values):
 @given(values=points)
 def test_partials_match_symmetric_difference_quotient(values):
     """e_r is multilinear, so the symmetric quotient at h = 1/7 is exact."""
-    point = NodeSet(tuple(values))
+    point = NodeSet(values)
     n = len(values)
     m = jacobian_matrix(point)
     h = Fraction(1, 7)
     for c in range(n):
-        plus = list(point.nodes)
-        minus = list(point.nodes)
+        plus = list(point)
+        minus = list(point)
         plus[c] += h
         minus[c] -= h
-        e_plus = elem_sym_all(NodeSet(tuple(plus)))
-        e_minus = elem_sym_all(NodeSet(tuple(minus)))
+        e_plus = elem_sym_all(NodeSet(plus))
+        e_minus = elem_sym_all(NodeSet(minus))
         for r in range(1, n + 1):
             assert (e_plus[r] - e_minus[r]) / (2 * h) == m.entries[r - 1][c]
 
@@ -357,7 +357,7 @@ NAIVE_ENTRIES = {
 def test_builders_match_naive_fractions(kind, values, x0):
     """Every builder's stored ints, read as canonical Fractions, equal the
     definition computed in Fractions: n = 1, repeated and zero nodes."""
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     n = len(values)
     build, _ = KINDS[kind]
     entries = build(ns, x0).entries

@@ -49,12 +49,20 @@ def test_node_set_allows_duplicates():
 def test_node_set_is_an_immutable_value():
     ns = NodeSet(nodes=(1, Fraction(1, 2)))
     assert ns == NodeSet.of(1, "1/2") and hash(ns) == hash(NodeSet.of(1, "1/2"))
-    assert ns != NodeSet.of(1) and ns != ns.nodes
+    assert ns != NodeSet.of(1) and ns == (1, Fraction(1, 2)) and hash(ns) == hash((1, Fraction(1, 2)))
+    assert all(type(v) is Fraction for v in NodeSet.of(1, "1/2"))
+    with pytest.raises(TypeError):
+        ns[0] = Fraction(2)
     with pytest.raises(AttributeError):
         ns.nodes = (Fraction(2),)
-    with pytest.raises(AttributeError):
-        del ns.nodes
-    assert ns.nodes == (1, Fraction(1, 2))
+    assert ns == (1, Fraction(1, 2))
+
+
+def test_node_set_keeps_given_fractions():
+    half = Fraction(1, 2)
+    ns = NodeSet([half, Fraction(3)])
+    assert ns[0] is half and type(ns) is NodeSet
+    assert NodeSet(v for v in (2, "-3/4")) == (2, Fraction(-3, 4))
 
 
 def test_elem_sym_examples():
@@ -136,7 +144,7 @@ def test_polynomial_multiplication():
 
 @given(values=node_lists)
 def test_elem_sym_matches_bruteforce(values):
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     computed = elem_sym_all(ns)
     assert len(computed) == len(values) + 1
     for k, e_k in enumerate(computed):
@@ -145,7 +153,7 @@ def test_elem_sym_matches_bruteforce(values):
 
 @given(values=node_lists)
 def test_table_matches_bruteforce(values):
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     table = leave_one_out_table(ns)
     for j in range(len(values)):
         rest = ns.without(j)
@@ -159,7 +167,7 @@ def test_table_matches_bruteforce(values):
 @given(values=pooled_node_lists)
 def test_table_columns_match_elem_sym_of_rest(values):
     """Column j is e_0..e_{n-1} of the other nodes, by the definitional recurrence."""
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     n = len(values)
     columns = list(zip(*leave_one_out_table(ns)))
     for j in range(n):
@@ -171,7 +179,7 @@ def test_table_columns_match_elem_sym_of_rest(values):
 @given(values=node_lists)
 def test_sign_coefficient_duality(values):
     """Coefficient of x^{n-k} in prod (x - a_i) is (-1)^k e_k."""
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     n = len(values)
     poly = poly_from_roots(ns)
     e = elem_sym_all(ns)
@@ -184,7 +192,7 @@ def test_sign_coefficient_duality(values):
 @given(values=st.lists(rationals, min_size=1, max_size=6, unique=True))
 def test_recombination(values):
     """Column j as a monic polynomial times (x - a_j) rebuilds the full product."""
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     n = len(values)
     table = leave_one_out_table(ns)
     full = poly_from_roots(ns)
@@ -199,10 +207,10 @@ def test_recombination(values):
 
 @given(values=small_node_lists, data=st.data())
 def test_permutation_equivariance(values, data):
-    ns = NodeSet(tuple(values))
+    ns = NodeSet(values)
     n = len(values)
     sigma = data.draw(st.permutations(range(n)))
-    permuted = NodeSet(tuple(values[sigma[j]] for j in range(n)))
+    permuted = NodeSet(values[sigma[j]] for j in range(n))
     assert elem_sym_all(permuted) == elem_sym_all(ns)
     columns = list(zip(*leave_one_out_table(ns)))
     permuted_columns = list(zip(*leave_one_out_table(permuted)))

@@ -154,6 +154,20 @@ def test_sign_bridge_sees_a_wrong_power_matrix(monkeypatch):
     assert report.failures > 0
 
 
+def test_wronskian_compares_the_kinds_build_with_the_taylor_route(monkeypatch):
+    """The table's builder passes.  One that ignores the probe point keeps
+    the determinant, which does not depend on the point, so only the route
+    equality sees it."""
+    assert run_identity("wronskian", 100, 0, VerifyConfig()).failures == 0
+
+    def shift_dropped(ns, at):
+        return calculus.wronskian_matrix(calculus.nodal_basis(ns), 0)
+
+    monkeypatch.setitem(calculus.KINDS, "wronskian", (shift_dropped, calculus.wronskian_closed))
+    report = run_identity("wronskian", 100, 0, VerifyConfig())
+    assert report.failures > 0
+
+
 def test_degenerate_sends_bareiss_through_elimination(monkeypatch):
     """Each degenerate trial also hands Bareiss the drawn nodes' matrix
     with column j set to twice column i.  No two of its stored columns
