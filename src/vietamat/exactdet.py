@@ -52,7 +52,7 @@ def det_laplace(m: ExactMatrix) -> Fraction:
     column's) is 0.  Sizes beyond LAPLACE_MAX raise LaplaceSizeError
     rather than silently switching algorithm.
     """
-    n = m.n_rows
+    n = len(m.numerators)
     if n > LAPLACE_MAX:
         raise LaplaceSizeError(
             f"det_laplace is limited to {LAPLACE_MAX}x{LAPLACE_MAX}, got {n}x{n}; "
@@ -120,7 +120,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     entries keep the later entries small.  Swaps are counted for the
     sign.  All of this reads only the entries.
     """
-    n = m.n_rows
+    n = len(m.numerators)
     if len(set(zip(zip(*m.numerators), m.denominators))) < n:
         return Fraction(0)
     contents = [gcd(*row) for row in m.numerators]

@@ -26,8 +26,9 @@ class ExactMatrix:
     Stored as int `numerators`, row-major, over one `denominators[j]` >= 1
     per column: entry (r, j) is numerators[r][j] / denominators[j], and
     the scale need not be the least one.  `entries`, the canonical
-    Fraction rows, is made on first read; equality compares values, not
-    scales.  Treat instances as immutable.
+    Fraction rows, is made on first read.  Equality compares values, not
+    scales, by cross-multiplying the stored ints, so it builds no
+    Fraction; instances are not hashable.  Treat them as immutable.
 
     `ExactMatrix(numerators, denominators)` takes the integer form and
     raises ValueError unless the numerators are a square grid of ints and
@@ -62,15 +63,15 @@ class ExactMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(e, d) for e, d in zip(row, self.denominators)) for row in self.numerators)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.numerators)
-
     def __eq__(self, other):
-        return self.entries == other.entries if isinstance(other, ExactMatrix) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        d, e = self.denominators, other.denominators
+        return len(self.numerators) == len(other.numerators) and all(
+            x * ej == y * dj
+            for row, other_row in zip(self.numerators, other.numerators)
+            for x, y, dj, ej in zip(row, other_row, d, e)
+        )
 
     def __repr__(self):
         return f"ExactMatrix.from_rows({self.entries!r})"
@@ -211,7 +212,7 @@ def vieta_extension_poly(ns: NodeSet) -> DensePolynomial:
     """
     lead = vieta_det_closed(ns)
     if lead == 0:
-        return DensePolynomial.zero()
+        return DensePolynomial((), 1)
     if len(ns) % 2:
         lead = -lead
-    return poly_from_roots(ns) * lead
+    return poly_from_roots(ns) * DensePolynomial.of(lead)

@@ -30,15 +30,6 @@ class NodeSet(tuple):
             raise ValueError("a node set needs at least one node")
         return self
 
-    @classmethod
-    def of(cls, *values) -> "NodeSet":
-        """Convenience constructor accepting ints, strings, or Fractions."""
-        return cls(values)
-
-    def without(self, index: int) -> tuple[Fraction, ...]:
-        """All nodes except the one at `index`, order preserved."""
-        return self[:index] + self[index + 1:]
-
 
 class DensePolynomial:
     """Univariate polynomial with exact coefficients, ascending degree.
@@ -47,9 +38,11 @@ class DensePolynomial:
     coefficient of x^m is numerators[m] / denominator, and the scale need
     not be the least one.  Trailing zeros are trimmed at construction, so
     a nonzero polynomial always has a nonzero leading coefficient and the
-    zero polynomial has no numerators.  `coefficients`, the canonical
-    Fractions, is made on first read; equality compares values, not
-    scales.  Treat instances as immutable.
+    zero polynomial, `DensePolynomial((), 1)`, has no numerators.
+    `coefficients`, the canonical Fractions, is made on first read.
+    Equality compares values, not scales, by cross-multiplying the stored
+    ints, so it builds no Fraction; instances are not hashable.  Treat
+    them as immutable.  `*` multiplies two polynomials.
 
     `DensePolynomial(numerators, denominator)` takes the integer form and
     raises ValueError unless the numerators are ints and the denominator
@@ -74,20 +67,17 @@ class DensePolynomial:
         denominator = lcm(*(c.denominator for c in coeffs))
         return cls([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
 
-    @classmethod
-    def zero(cls) -> "DensePolynomial":
-        return cls((), 1)
-
     @cached_property
     def coefficients(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(c, d) for c in self.numerators)
 
     def __eq__(self, other):
-        return self.coefficients == other.coefficients if isinstance(other, DensePolynomial) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.coefficients)
+        if not isinstance(other, DensePolynomial):
+            return NotImplemented
+        a, b = self.numerators, other.numerators
+        d, e = self.denominator, other.denominator
+        return len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
 
     def __repr__(self):
         return f"DensePolynomial.of{self.coefficients!r}"
@@ -126,21 +116,15 @@ class DensePolynomial:
             factorial *= r + 1
         return out, self.denominator * v_pow[-1]
 
-    def __mul__(self, other):
-        if isinstance(other, DensePolynomial):
-            a, b = self.numerators, other.numerators
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return DensePolynomial(out, self.denominator * other.denominator)
-        if isinstance(other, (int, Fraction)):
-            return DensePolynomial(
-                [other.numerator * c for c in self.numerators], self.denominator * other.denominator
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "DensePolynomial") -> "DensePolynomial":
+        if not isinstance(other, DensePolynomial):
+            return NotImplemented
+        a, b = self.numerators, other.numerators
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return DensePolynomial(out, self.denominator * other.denominator)
 
 
 def scaled_product(values: Iterable[Fraction]) -> list[int]:

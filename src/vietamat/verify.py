@@ -126,7 +126,7 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
     """Every oracle within its reach equals `value` on `matrix`; they run
     in table order, up to the first that differs.  Draws no random numbers."""
-    n = matrix.n_rows
+    n = len(matrix.numerators)
     return all(det(matrix) == value for det, reach in ORACLES.values() if reach is None or n <= reach)
 
 
@@ -259,7 +259,7 @@ def _check_leave_one_out(rng, cfg):
     ns = random_node_set(rng, cfg, cap=8)
     table = leave_one_out_table(ns)
     for j in range(len(ns)):
-        rest = ns.without(j)
+        rest = ns[:j] + ns[j + 1:]
         for k in range(len(ns)):
             if table[k][j] != _esp_bruteforce(rest, k):
                 return serialize_nodes(ns)

@@ -9,7 +9,8 @@ Only the named pytest IDs then run, with PYTHONPATH pointing at the copy.
 The mutant is killed when every named ID reports a failure; a named ID
 that still passes is a survivor.  Before any mutant runs, all named IDs
 must pass on an unmutated copy, and that copy must be the package the
-tests import.  Exits 1 on any survivor, missing snippet or broken run.
+tests import.  Each mutant's line gives its seconds beside `killed` or
+`SURVIVED`.  Exits 1 on any survivor, missing snippet or broken run.
 
 Standard library only.  pytest does not collect this file: its name does
 not match test_*.py.
@@ -229,6 +230,26 @@ MUTANTS = (
         ("tests/test_sympoly.py::test_node_set_is_an_immutable_value",),
     ),
     Mutant(
+        "poly-eq-numerators-only",
+        "sympoly.py",
+        "x * e == y * d",
+        "x == y",
+        (
+            "tests/test_sympoly.py::test_scaled_polynomial_equals_its_fraction_twin",
+            "tests/test_calculus.py::test_equality_builds_no_fraction",
+        ),
+    ),
+    Mutant(
+        "matrix-eq-numerators-only",
+        "structmat.py",
+        "x * ej == y * dj",
+        "x == y",
+        (
+            "tests/test_structmat.py::test_matrix_equality_ignores_column_scale",
+            "tests/test_calculus.py::test_equality_builds_no_fraction",
+        ),
+    ),
+    Mutant(
         "closed-repeat-check-late",
         "structmat.py",
         "    if len(set(pairs)) < len(pairs):\n        return Fraction(0)\n    q = product_tree([t for _, t in pairs])\n",
@@ -365,9 +386,11 @@ def main() -> int:
     _baseline()
     survived = 0
     for mutant in MUTANTS:
+        began = time.perf_counter()
         killed = _killed(mutant)
         survived += not killed
-        print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'}", flush=True)
+        seconds = time.perf_counter() - began
+        print(f"{mutant.name}: {'killed' if killed else 'SURVIVED'} in {seconds:.1f} s", flush=True)
     print(f"{len(MUTANTS) - survived}/{len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
     return 1 if survived else 0
 

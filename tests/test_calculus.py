@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vietamat import structmat
+from vietamat import structmat, sympoly
 from vietamat.bench import bench_node_set
 from vietamat.calculus import (
     KINDS,
@@ -18,7 +18,7 @@ from vietamat.calculus import (
 )
 from vietamat.exactdet import det_bareiss
 from vietamat.matio import matrix_to_json
-from vietamat.structmat import build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
+from vietamat.structmat import ExactMatrix, build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
 from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -58,20 +58,20 @@ def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
 
 
 def test_nodal_basis_examples():
-    basis = nodal_basis(NodeSet.of(1, 2, 3))
+    basis = nodal_basis(NodeSet((1, 2, 3)))
     assert basis[0].coefficients == (6, -5, 1)
     assert basis[1].coefficients == (3, -4, 1)
     assert basis[2].coefficients == (2, -3, 1)
 
 
 def test_nodal_basis_single_node():
-    basis = nodal_basis(NodeSet.of(Fraction(9, 4)))
+    basis = nodal_basis(NodeSet((Fraction(9, 4),)))
     assert len(basis) == 1
     assert basis[0].coefficients == (1,)
 
 
 def test_nodal_basis_two_nodes():
-    basis = nodal_basis(NodeSet.of(0, 1))
+    basis = nodal_basis(NodeSet((0, 1)))
     assert basis[0].coefficients == (-1, 1)  # x - 1
     assert basis[1].coefficients == (0, 1)  # x
 
@@ -85,48 +85,48 @@ def test_poly_derivative():
     p = DensePolynomial.of(6, -5, 1)
     assert poly_derivative(p).coefficients == (-5, 2)
     assert poly_derivative(DensePolynomial.of(0, 0, 1), 2).coefficients == (2,)
-    assert poly_derivative(DensePolynomial.of(0, 0, 1), 3) == DensePolynomial.zero()
+    assert poly_derivative(DensePolynomial.of(0, 0, 1), 3) == DensePolynomial((), 1)
     assert poly_derivative(p, 0) == p
     with pytest.raises(ValueError):
         poly_derivative(p, -1)
 
 
 def test_wronskian_matrix_examples():
-    basis = nodal_basis(NodeSet.of(1, 2, 3))
+    basis = nodal_basis(NodeSet((1, 2, 3)))
     m = wronskian_matrix(basis, Fraction(0))
     assert m.entries == ((6, 3, 2), (-5, -4, -3), (2, 2, 2))
 
-    single = wronskian_matrix(nodal_basis(NodeSet.of(4)), Fraction(17, 5))
+    single = wronskian_matrix(nodal_basis(NodeSet((4,))), Fraction(17, 5))
     assert single.entries == ((1,),)
 
-    m01 = wronskian_matrix(nodal_basis(NodeSet.of(0, 1)), Fraction(0))
+    m01 = wronskian_matrix(nodal_basis(NodeSet((0, 1))), Fraction(0))
     assert m01.entries == ((-1, 0), (1, 1))
 
 
 def test_wronskian_closed_examples():
-    assert wronskian_closed(NodeSet.of(1, 2, 3)) == -4
+    assert wronskian_closed(NodeSet((1, 2, 3))) == -4
     a1, a2 = Fraction(2, 7), Fraction(-5, 3)
-    assert wronskian_closed(NodeSet.of(a1, a2)) == a1 - a2
-    assert wronskian_closed(NodeSet.of(3, 3, 8)) == 0
+    assert wronskian_closed(NodeSet((a1, a2))) == a1 - a2
+    assert wronskian_closed(NodeSet((3, 3, 8))) == 0
 
 
 def test_wronskian_matrix_det_matches_closed_at_zero():
-    ns = NodeSet.of(1, 2, 3)
+    ns = NodeSet((1, 2, 3))
     assert det_bareiss(wronskian_matrix(nodal_basis(ns), Fraction(0))) == -4
 
 
 def test_jacobian_examples():
-    m = jacobian_matrix(NodeSet.of(1, 2, 3))
+    m = jacobian_matrix(NodeSet((1, 2, 3)))
     assert m.entries == ((1, 1, 1), (5, 4, 3), (6, 3, 2))
     x1, x2 = Fraction(3, 4), Fraction(-1, 6)
-    assert jacobian_matrix(NodeSet.of(x1, x2)).entries == ((1, 1), (x2, x1))
-    assert jacobian_matrix(NodeSet.of(5)).entries == ((1,),)
+    assert jacobian_matrix(NodeSet((x1, x2))).entries == ((1, 1), (x2, x1))
+    assert jacobian_matrix(NodeSet((5,))).entries == ((1,),)
 
 
 def test_jacobian_det_examples():
-    assert jacobian_det_closed(NodeSet.of(1, 2, 3)) == -2
-    assert jacobian_det_closed(NodeSet.of(7, 7)) == 0
-    assert jacobian_det_closed(NodeSet.of(0, 1)) == -1
+    assert jacobian_det_closed(NodeSet((1, 2, 3))) == -2
+    assert jacobian_det_closed(NodeSet((7, 7))) == 0
+    assert jacobian_det_closed(NodeSet((0, 1))) == -1
 
 
 @example(values=[Fraction(0)])
@@ -137,7 +137,7 @@ def test_nodal_basis_matches_poly_from_roots(values):
     basis = nodal_basis(ns)
     assert len(basis) == len(values)
     for j, poly in enumerate(basis):
-        assert poly == poly_from_roots(ns.without(j))
+        assert poly == poly_from_roots(ns[:j] + ns[j + 1:])
 
 
 @given(values=distinct_nodes)
@@ -166,8 +166,8 @@ def test_wronskian_probe_independent_and_closed(values, probes):
         assert det_bareiss(wronskian_matrix(basis, x0)) == expected
 
 
-@example(polys=[DensePolynomial.zero()], x0=Fraction(0))
-@example(polys=[DensePolynomial.of(1, 2, 3, 4, 5), DensePolynomial.zero()], x0=Fraction(-7, 3))
+@example(polys=[DensePolynomial((), 1)], x0=Fraction(0))
+@example(polys=[DensePolynomial.of(1, 2, 3, 4, 5), DensePolynomial((), 1)], x0=Fraction(-7, 3))
 @example(polys=[DensePolynomial.of(3), DensePolynomial.of(0, 1), DensePolynomial.of(0, 0, 1)], x0=Fraction(5, 2))
 @given(
     polys=st.lists(polynomials, min_size=1, max_size=6),
@@ -184,7 +184,7 @@ def test_wronskian_matrix_matches_derivatives(polys, x0):
     "ns",
     [
         bench_node_set(0, 32, 16),
-        NodeSet.of(Fraction(-5, 3), 0, 7, Fraction(-5, 3), Fraction(11, 4), 0, Fraction(-9, 8)),
+        NodeSet((Fraction(-5, 3), 0, 7, Fraction(-5, 3), Fraction(11, 4), 0, Fraction(-9, 8))),
     ],
     ids=["bench-32", "zero-and-repeated"],
 )
@@ -269,7 +269,7 @@ def test_repeated_node_anywhere_multiplies_nothing(monkeypatch, i, j):
     ns = NodeSet(values)
     for kind, (_, closed) in KINDS.items():
         assert closed(ns) == 0, kind
-    assert vieta_extension_poly(ns) == DensePolynomial.zero()
+    assert vieta_extension_poly(ns) == DensePolynomial((), 1)
 
 
 def test_closed_forms_take_no_gcd_of_the_full_products(monkeypatch):
@@ -293,6 +293,34 @@ def test_closed_forms_take_no_gcd_of_the_full_products(monkeypatch):
         widest[0] = 0
         closed(ns)
         assert 0 < widest[0] <= bound, (closed.__name__, widest[0])
+
+
+def test_equality_builds_no_fraction(monkeypatch):
+    """`==` on matrices and polynomials cross-multiplies the stored ints:
+    the Wronskian's two routes, which scale its columns differently, and
+    two scales of one polynomial compare equal with `Fraction` unusable,
+    and one changed numerator makes them unequal."""
+    ns = NodeSet(Fraction(3 * k - 7, k + 2) for k in range(8))
+    x0 = Fraction(-3, 7)
+    m = KINDS["wronskian"][0](ns, x0)
+    twin = wronskian_matrix(nodal_basis(ns), x0)
+    assert m.denominators != twin.denominators
+    rows = [list(row) for row in twin.numerators]
+    rows[5][2] += 1
+    changed = ExactMatrix(rows, twin.denominators)
+    p = DensePolynomial([-42, 28, 0, 70], 12)
+    q = DensePolynomial.of(Fraction(-7, 2), Fraction(7, 3), 0, Fraction(35, 6))
+    assert p.denominator != q.denominator
+
+    def refuse(*args):
+        raise AssertionError("equality built a Fraction")
+
+    monkeypatch.setattr(structmat, "Fraction", refuse)
+    monkeypatch.setattr(sympoly, "Fraction", refuse)
+    assert m == twin and twin == m
+    assert m != changed and changed != m
+    assert p == q and q == p
+    assert p != DensePolynomial([-42, 28, 0, 71], 12)
 
 
 @given(values=points)
@@ -341,10 +369,10 @@ def _naive_wronskian_entry(rest, r, x0):
 
 
 NAIVE_ENTRIES = {
-    "vieta": lambda ns, r, j, x0: _naive_e(ns.without(j), r),
-    "jacobian": lambda ns, r, j, x0: _naive_e(ns.without(j), r),
+    "vieta": lambda ns, r, j, x0: _naive_e(ns[:j] + ns[j + 1:], r),
+    "jacobian": lambda ns, r, j, x0: _naive_e(ns[:j] + ns[j + 1:], r),
     "vandermonde": lambda ns, r, j, x0: ns[j] ** r,
-    "wronskian": lambda ns, r, j, x0: _naive_wronskian_entry(ns.without(j), r, x0),
+    "wronskian": lambda ns, r, j, x0: _naive_wronskian_entry(ns[:j] + ns[j + 1:], r, x0),
 }
 
 

@@ -245,7 +245,7 @@ def test_laplace_zero_column_at_the_guard_size():
 def test_bareiss_integer_input_stays_integral():
     # integer entries give every column an lcm of 1, so elimination runs on
     # the entries themselves and every exact-division assertion checks them
-    ns = NodeSet.of(3, -7, 11, 2, -5)
+    ns = NodeSet((3, -7, 11, 2, -5))
     m = build_vieta(ns)
     assert all(e.denominator == 1 for row in m.entries for e in row)
     assert det_bareiss(m) == det_laplace(m)
@@ -338,7 +338,7 @@ def test_bareiss_integer_wronskian_matches_closed_form(x0):
     # At integer nodes and x0 = 0, row 0 holds the largest entries (the
     # products of eleven nodes), and the smallest-entry pivot swaps it
     # away at the first step.
-    ns = NodeSet.of(3, -1, 4, -5, 9, 2, 6, -8, 7, -2, 10, 1)
+    ns = NodeSet((3, -1, 4, -5, 9, 2, 6, -8, 7, -2, 10, 1))
     assert det_bareiss(wronskian_matrix(nodal_basis(ns), x0)) == wronskian_closed(ns)
 
 

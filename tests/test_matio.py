@@ -69,17 +69,17 @@ def test_load_nodes_file_missing(tmp_path):
 
 
 def test_serialize_nodes():
-    assert serialize_nodes(NodeSet.of(1, Fraction(-3, 4))) == ("1", "-3/4")
+    assert serialize_nodes(NodeSet((1, Fraction(-3, 4)))) == ("1", "-3/4")
 
 
 def test_matrix_json_shape():
-    m = build_vieta(NodeSet.of(1, 2, 3))
+    m = build_vieta(NodeSet((1, 2, 3)))
     data = json.loads(matrix_to_json(m))
     assert data == [["1", "1", "1"], ["5", "4", "3"], ["6", "3", "2"]]
 
 
 def test_matrix_csv_shape():
-    m = build_vieta(NodeSet.of(1, 2, 3))
+    m = build_vieta(NodeSet((1, 2, 3)))
     assert matrix_to_csv(m) == "1,1,1\n5,4,3\n6,3,2\n"
 
 

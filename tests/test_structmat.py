@@ -66,7 +66,9 @@ def test_matrix_equality_ignores_column_scale():
     m = ExactMatrix(((1, 2), (3, -4)), (3, 5))
     twin = ExactMatrix(((2, 2), (6, -4)), (6, 5))
     assert m.denominators != twin.denominators
-    assert m == twin and hash(m) == hash(twin)
+    assert m == twin
+    with pytest.raises(TypeError):
+        hash(m)
     assert m.entries == twin.entries == ((Fraction(1, 3), Fraction(2, 5)), (1, Fraction(-4, 5)))
     assert m == ExactMatrix.from_rows(m.entries)
     assert m != ExactMatrix(((1, 2), (3, -4)), (3, 7))
@@ -109,52 +111,52 @@ def test_bareiss_ignores_how_columns_are_scaled(grid, scales, n):
 
 def test_build_vieta_symbolic_two_nodes():
     a1, a2 = Fraction(5, 7), Fraction(-2, 3)
-    m = build_vieta(NodeSet.of(a1, a2))
+    m = build_vieta(NodeSet((a1, a2)))
     assert m.entries == ((1, 1), (a2, a1))
 
 
 def test_build_vieta_examples():
-    m = build_vieta(NodeSet.of(1, 2, 3))
+    m = build_vieta(NodeSet((1, 2, 3)))
     assert m.entries == ((1, 1, 1), (5, 4, 3), (6, 3, 2))
-    assert build_vieta(NodeSet.of(7)).entries == ((1,),)
+    assert build_vieta(NodeSet((7,))).entries == ((1,),)
 
 
 def test_vieta_det_examples():
-    assert vieta_det_closed(NodeSet.of(Fraction(1, 2), Fraction(-1, 3))) == Fraction(5, 6)
-    assert vieta_det_closed(NodeSet.of(1, 2, 3)) == -2
-    assert vieta_det_closed(NodeSet.of(4, 4, 9)) == 0
-    assert vieta_det_closed(NodeSet.of(11)) == 1
+    assert vieta_det_closed(NodeSet((Fraction(1, 2), Fraction(-1, 3)))) == Fraction(5, 6)
+    assert vieta_det_closed(NodeSet((1, 2, 3))) == -2
+    assert vieta_det_closed(NodeSet((4, 4, 9))) == 0
+    assert vieta_det_closed(NodeSet((11,))) == 1
 
 
 def test_build_vandermonde_examples():
-    m = build_vandermonde(NodeSet.of(1, 2, 3))
+    m = build_vandermonde(NodeSet((1, 2, 3)))
     assert m.entries == ((1, 1, 1), (1, 2, 3), (1, 4, 9))
-    assert build_vandermonde(NodeSet.of(Fraction(2, 5))).entries == ((1,),)
-    assert build_vandermonde(NodeSet.of(0, 1)).entries == ((1, 1), (0, 1))
+    assert build_vandermonde(NodeSet((Fraction(2, 5),))).entries == ((1,),)
+    assert build_vandermonde(NodeSet((0, 1))).entries == ((1, 1), (0, 1))
 
 
 def test_vandermonde_det_examples():
-    assert vandermonde_det_closed(NodeSet.of(1, 2, 3)) == 2
-    assert vandermonde_det_closed(NodeSet.of(6, 6)) == 0
-    assert vandermonde_det_closed(NodeSet.of(0, 1)) == 1
+    assert vandermonde_det_closed(NodeSet((1, 2, 3))) == 2
+    assert vandermonde_det_closed(NodeSet((6, 6))) == 0
+    assert vandermonde_det_closed(NodeSet((0, 1))) == 1
 
 
 def test_shift_nodes():
-    assert shift_nodes(NodeSet.of(1, 2, 3), Fraction(10)) == (-9, -8, -7)
-    assert shift_nodes(NodeSet.of(1, 2, 3), Fraction(0)) == (1, 2, 3)
-    assert shift_nodes(NodeSet.of(5), Fraction(5)) == (0,)
+    assert shift_nodes(NodeSet((1, 2, 3)), Fraction(10)) == (-9, -8, -7)
+    assert shift_nodes(NodeSet((1, 2, 3)), Fraction(0)) == (1, 2, 3)
+    assert shift_nodes(NodeSet((5,)), Fraction(5)) == (0,)
 
 
 def test_extension_poly_examples():
-    f = vieta_extension_poly(NodeSet.of(1, 2, 3))
+    f = vieta_extension_poly(NodeSet((1, 2, 3)))
     assert f.coefficients == (-12, 22, -12, 2)
     assert f(Fraction(0)) == -12
-    assert vieta_extension_poly(NodeSet.of(4, 4)) == DensePolynomial.zero()
+    assert vieta_extension_poly(NodeSet((4, 4))) == DensePolynomial((), 1)
 
 
 def test_extension_poly_constant_term_identity():
     # f(0) = e_n * prod_{i<k}(a_i - a_k), here 6 * (-2)
-    ns = NodeSet.of(1, 2, 3)
+    ns = NodeSet((1, 2, 3))
     assert vieta_extension_poly(ns)(Fraction(0)) == 6 * vieta_det_closed(ns)
 
 
@@ -178,7 +180,7 @@ def test_shift_invariance_closed(values, c):
 def test_repeated_node_zeroes_closed_form(values):
     ns = NodeSet(values + [values[0]])
     assert vieta_det_closed(ns) == 0
-    assert vieta_extension_poly(ns) == DensePolynomial.zero()
+    assert vieta_extension_poly(ns) == DensePolynomial((), 1)
 
 
 def test_repeated_node_skips_the_root_product(monkeypatch):
@@ -190,8 +192,8 @@ def test_repeated_node_skips_the_root_product(monkeypatch):
         raise AssertionError("poly_from_roots called although a node repeats")
 
     monkeypatch.setattr("vietamat.structmat.poly_from_roots", refuse)
-    ns = NodeSet.of(3, 1, 3, 5)
-    assert vieta_extension_poly(ns) == DensePolynomial.zero()
+    ns = NodeSet((3, 1, 3, 5))
+    assert vieta_extension_poly(ns) == DensePolynomial((), 1)
     assert vieta_det_closed(ns) == 0
 
 

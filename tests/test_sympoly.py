@@ -43,14 +43,14 @@ def test_node_set_rejects_empty():
 
 
 def test_node_set_allows_duplicates():
-    assert len(NodeSet.of(4, 4, 9)) == 3
+    assert len(NodeSet((4, 4, 9))) == 3
 
 
 def test_node_set_is_an_immutable_value():
     ns = NodeSet(nodes=(1, Fraction(1, 2)))
-    assert ns == NodeSet.of(1, "1/2") and hash(ns) == hash(NodeSet.of(1, "1/2"))
-    assert ns != NodeSet.of(1) and ns == (1, Fraction(1, 2)) and hash(ns) == hash((1, Fraction(1, 2)))
-    assert all(type(v) is Fraction for v in NodeSet.of(1, "1/2"))
+    assert ns == NodeSet((1, "1/2")) and hash(ns) == hash(NodeSet((1, "1/2")))
+    assert ns != NodeSet((1,)) and ns == (1, Fraction(1, 2)) and hash(ns) == hash((1, Fraction(1, 2)))
+    assert all(type(v) is Fraction for v in NodeSet((1, "1/2")))
     with pytest.raises(TypeError):
         ns[0] = Fraction(2)
     with pytest.raises(AttributeError):
@@ -66,30 +66,30 @@ def test_node_set_keeps_given_fractions():
 
 
 def test_elem_sym_examples():
-    assert elem_sym_all(NodeSet.of(1, 2, 3)) == [1, 6, 11, 6]
-    assert elem_sym_all(NodeSet.of(5)) == [1, 5]
-    assert elem_sym_all(NodeSet.of(0, 0)) == [1, 0, 0]
+    assert elem_sym_all(NodeSet((1, 2, 3))) == [1, 6, 11, 6]
+    assert elem_sym_all(NodeSet((5,))) == [1, 5]
+    assert elem_sym_all(NodeSet((0, 0))) == [1, 0, 0]
 
 
 def test_table_examples():
-    table = leave_one_out_table(NodeSet.of(1, 2, 3))
+    table = leave_one_out_table(NodeSet((1, 2, 3)))
     assert table == ((1, 1, 1), (5, 4, 3), (6, 3, 2))
 
 
 def test_table_single_node():
-    table = leave_one_out_table(NodeSet.of(Fraction(7, 3)))
+    table = leave_one_out_table(NodeSet((Fraction(7, 3),)))
     assert table == ((Fraction(1),),)
 
 
 def test_table_two_zeros_zero_last_row():
-    table = leave_one_out_table(NodeSet.of(0, 0, 5))
+    table = leave_one_out_table(NodeSet((0, 0, 5)))
     assert table[2] == (0, 0, 0)
 
 
 def test_poly_from_roots_examples():
-    assert poly_from_roots(NodeSet.of(1, 2)).coefficients == (2, -3, 1)
-    assert poly_from_roots(NodeSet.of(0)).coefficients == (0, 1)
-    assert poly_from_roots(NodeSet.of(1, 2, 3)).coefficients == (-6, 11, -6, 1)
+    assert poly_from_roots(NodeSet((1, 2))).coefficients == (2, -3, 1)
+    assert poly_from_roots(NodeSet((0,))).coefficients == (0, 1)
+    assert poly_from_roots(NodeSet((1, 2, 3))).coefficients == (-6, 11, -6, 1)
 
 
 def test_poly_from_roots_empty_product():
@@ -98,18 +98,20 @@ def test_poly_from_roots_empty_product():
 
 def test_polynomial_trims_and_degrees():
     assert DensePolynomial.of(1, 2, 0, 0).coefficients == (1, 2)
-    assert DensePolynomial.of(0) == DensePolynomial.zero()
-    assert len(DensePolynomial.zero().numerators) == 0
+    assert DensePolynomial.of(0) == DensePolynomial((), 1)
+    assert len(DensePolynomial((), 1).numerators) == 0
     assert len(DensePolynomial.of(3).numerators) == 1
 
 
 def test_scaled_polynomial_equals_its_fraction_twin():
     p = DensePolynomial([2, -4, 6, 0, 0], 4)
     twin = DensePolynomial.of(Fraction(1, 2), -1, Fraction(3, 2), 0)
-    assert p == twin and hash(p) == hash(twin)
+    assert p == twin
+    with pytest.raises(TypeError):
+        hash(p)
     assert p.coefficients == twin.coefficients == (Fraction(1, 2), -1, Fraction(3, 2))
     assert p.numerators == (2, -4, 6)
-    assert DensePolynomial([0, 0], 7) == DensePolynomial.zero()
+    assert DensePolynomial([0, 0], 7) == DensePolynomial((), 1)
     assert DensePolynomial([0, 0], 7).coefficients == ()
     assert p != DensePolynomial([2, -4, 6], 3)
 
@@ -127,7 +129,7 @@ def test_polynomial_evaluate():
     p = DensePolynomial.of(6, -5, 1)  # x^2 - 5x + 6
     assert p(Fraction(0)) == 6
     assert p(Fraction(2)) == 0
-    assert DensePolynomial.zero()(Fraction(3)) == 0
+    assert DensePolynomial((), 1)(Fraction(3)) == 0
     assert p(Fraction(5, 2)) == Fraction(-1, 4)
     q = DensePolynomial.of(Fraction(1, 2), Fraction(-2, 3), 0, Fraction(3, 4))  # 3/4 x^3 - 2/3 x + 1/2
     x = Fraction(-2, 5)
@@ -137,9 +139,12 @@ def test_polynomial_evaluate():
 def test_polynomial_multiplication():
     p = DensePolynomial.of(-1, 1) * DensePolynomial.of(-2, 1)
     assert p.coefficients == (2, -3, 1)
-    assert DensePolynomial.zero() * p == p * DensePolynomial.zero() == DensePolynomial.zero()
-    assert (DensePolynomial.zero() * DensePolynomial.zero()).coefficients == ()
-    assert (2 * p).coefficients == (4, -6, 2)
+    assert DensePolynomial((), 1) * p == p * DensePolynomial((), 1) == DensePolynomial((), 1)
+    assert (DensePolynomial((), 1) * DensePolynomial((), 1)).coefficients == ()
+    with pytest.raises(TypeError):
+        2 * p
+    with pytest.raises(TypeError):
+        p * 2
 
 
 @given(values=node_lists)
@@ -156,7 +161,7 @@ def test_table_matches_bruteforce(values):
     ns = NodeSet(values)
     table = leave_one_out_table(ns)
     for j in range(len(values)):
-        rest = ns.without(j)
+        rest = ns[:j] + ns[j + 1:]
         for k in range(len(values)):
             assert table[k][j] == esp_bruteforce(rest, k)
 
@@ -171,7 +176,7 @@ def test_table_columns_match_elem_sym_of_rest(values):
     n = len(values)
     columns = list(zip(*leave_one_out_table(ns)))
     for j in range(n):
-        rest = ns.without(j)
+        rest = ns[:j] + ns[j + 1:]
         expected = tuple(elem_sym_all(NodeSet(rest))[:n]) if rest else (Fraction(1),)
         assert columns[j] == expected
 
