@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
 
     lo, hi = _parse_n_range(args.n)
     cfg = VerifyConfig(n_lo=lo, n_hi=hi, coeff_bound=args.coeff_bound)
-    names = "all" if args.suite == "all" else [s for s in args.suite.split(",") if s]
+    names = [s for s in args.suite.split(",") if s]
     reports = run_suite(names, args.trials, args.seed, cfg)
     for report in reports:
         sys.stdout.write(report.json_line() + "\n")

@@ -12,13 +12,16 @@ from [1, B] (B = coeff_bound), then canonicalize.  Nodes may repeat: every
 identity holds on repeated nodes, so each set is drawn once.  Sizes span
 the config's range, with two caps: leave_one_out's brute-force sums take
 2^n terms, so it caps n at 8; oracle_agreement and multilinearity run
-every oracle, so they cap n at 6, within every oracle's reach.  The other
-identities skip an oracle beyond its reach instead.
+every oracle, so they cap n at the smallest finite reach in `ORACLES`
+(Laplace's 8 today), read each time they run.  The other identities skip
+an oracle beyond its reach instead.  theorem1 and sign_bridge are one
+check, bound to the kinds "vieta" and "vandermonde" of `KINDS`.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import random
@@ -130,17 +133,20 @@ def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
     return all(det(matrix) == value for det, reach in ORACLES.values() if reach is None or n <= reach)
 
 
-def _closed_form_holds(kind: str, ns: NodeSet) -> bool:
-    """The kind's closed form in `KINDS` equals the oracles on its matrix
-    at the default point 0."""
-    build, closed = KINDS[kind]
-    return _oracles_give(closed(ns), build(ns, Fraction(0)))
+def _smallest_reach() -> int | None:
+    """The smallest finite reach in `ORACLES`, or None when no oracle has
+    one: the largest n at which every oracle runs."""
+    return min((reach for _, reach in ORACLES.values() if reach is not None), default=None)
 
 
-def _check_theorem1(rng, cfg):
-    """Closed product formula equals every oracle within its reach."""
+def _check_closed_form(kind, rng, cfg):
+    """Every oracle within its reach gives the closed form of `KINDS[kind]`
+    on its matrix at the default point 0.  For "vieta" this is theorem 1;
+    for "vandermonde", (-1)^{n(n-1)/2} times it, the sign between the two
+    product orientations."""
     ns = random_node_set(rng, cfg)
-    return None if _closed_form_holds("vieta", ns) else serialize_nodes(ns)
+    build, closed = KINDS[kind]
+    return None if _oracles_give(closed(ns), build(ns, Fraction(0))) else serialize_nodes(ns)
 
 
 def _check_corollary1(rng, cfg):
@@ -152,14 +158,6 @@ def _check_corollary1(rng, cfg):
     value = closed(ns)
     holds = closed(shifted) == value and _oracles_give(value, build(shifted, Fraction(0)))
     return None if holds else serialize_nodes(ns)
-
-
-def _check_sign_bridge(rng, cfg):
-    """Every oracle within its reach gives the power matrix's closed form,
-    (-1)^{n(n-1)/2} times theorem 1's: the sign between the two product
-    orientations."""
-    ns = random_node_set(rng, cfg)
-    return None if _closed_form_holds("vandermonde", ns) else serialize_nodes(ns)
 
 
 def _check_antisymmetry(rng, cfg):
@@ -215,7 +213,7 @@ def _check_degenerate(rng, cfg):
     matrix = build(degenerate, Fraction(0))
     if closed(degenerate) != 0 or not _oracles_give(Fraction(0), matrix):
         return serialize_nodes(degenerate)
-    if nodes.count(Fraction(0)) >= 2 and any(e != 0 for e in matrix.entries[-1]):
+    if nodes.count(Fraction(0)) >= 2 and any(matrix.numerators[-1]):
         return serialize_nodes(degenerate)
     drawn = build(ns, Fraction(0))
     doubled = ExactMatrix(
@@ -308,9 +306,9 @@ def _check_jacobian(rng, cfg):
 
 
 def _check_oracle_agreement(rng, cfg):
-    """Every oracle within its reach (all, at n <= 6) agrees on random
-    matrices.  Counterexamples serialize the entries row-major."""
-    n = _random_size(rng, cfg, cap=6)
+    """Every oracle agrees on random matrices, drawn no larger than the
+    smallest reach.  Counterexamples serialize the entries row-major."""
+    n = _random_size(rng, cfg, cap=_smallest_reach())
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
     if len({det(matrix) for det, _ in ORACLES.values()}) > 1:
         return tuple(render_rational(e) for row in matrix.entries for e in row)
@@ -319,8 +317,9 @@ def _check_oracle_agreement(rng, cfg):
 
 def _check_multilinearity(rng, cfg):
     """Row scaling scales, row swaps negate, det(I) = 1, duplicate rows
-    give 0 — for every oracle.  Counterexamples serialize row-major."""
-    n = _random_size(rng, cfg, min_n=2, cap=6)
+    give 0 — for every oracle, up to the smallest reach.  Counterexamples
+    serialize row-major."""
+    n = _random_size(rng, cfg, min_n=2, cap=_smallest_reach())
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
     s = random_rational(rng, cfg.coeff_bound)
     r = rng.randrange(n)
@@ -358,9 +357,9 @@ def _check_roundtrip(rng, cfg):
 
 
 IDENTITIES = {
-    "theorem1": _check_theorem1,
+    "theorem1": functools.partial(_check_closed_form, "vieta"),
     "corollary1": _check_corollary1,
-    "sign_bridge": _check_sign_bridge,
+    "sign_bridge": functools.partial(_check_closed_form, "vandermonde"),
     "antisymmetry": _check_antisymmetry,
     "extension": _check_extension,
     "degenerate": _check_degenerate,

@@ -54,6 +54,13 @@ MUTANTS = (
         ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped",),
     ),
     Mutant(
+        "pair-cap-6",
+        "verify.py",
+        "return min((reach for _, reach in ORACLES.values() if reach is not None), default=None)",
+        "return 6",
+        ("tests/test_verify.py::test_oracle_pairs_follow_the_reach",),
+    ),
+    Mutant(
         "oracles-any",
         "verify.py",
         "return all(det(matrix) == value",

@@ -282,3 +282,26 @@ def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
     monkeypatch.setitem(exactdet.ORACLES, "bareiss", (_plus_one(exactdet.det_bareiss), None))
     report = run_identity(identity, 20, 0, cfg)
     assert report.failures == report.trials == 20
+
+
+@pytest.mark.parametrize("identity", ["oracle_agreement", "multilinearity"])
+def test_oracle_pairs_follow_the_reach(monkeypatch, identity):
+    """The pair that runs every oracle caps n at the smallest reach in
+    `exactdet.ORACLES`, read when it runs: at Laplace's reach of 8 it draws
+    n = 8, and with that reach lowered to 5 no draw reaches Laplace's
+    guard, so nothing fails and no LaplaceSizeError escapes."""
+    laplace = exactdet.det_laplace
+    sizes = set()
+
+    def recording(m):
+        sizes.add(len(m.numerators))
+        return laplace(m)
+
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (recording, exactdet.LAPLACE_MAX))
+    assert run_identity(identity, 10, 0, VerifyConfig(8, 8)).failures == 0
+    assert sizes == {8}
+
+    monkeypatch.setattr(exactdet, "LAPLACE_MAX", 5)
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (laplace, 5))
+    report = run_identity(identity, 30, 0, VerifyConfig(1, 10))
+    assert report.failures == 0, report.first_counterexample
