@@ -53,7 +53,7 @@ def load_nodes_file(path: str | Path) -> NodeSet:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NodesFileError(f"cannot read node file {path}: {exc}") from None
     try:
         data = json.loads(raw)

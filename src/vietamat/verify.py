@@ -36,7 +36,7 @@ from .exactdet import ORACLES
 from .matio import serialize_nodes
 from .rational import parse_rational, render_rational
 from .structmat import ExactMatrix, shift_nodes, vieta_extension_poly
-from .sympoly import DensePolynomial, NodeSet, elem_sym_all, leave_one_out_table, poly_from_roots
+from .sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
 MAX_SEED = 2**64 - 1
 
@@ -116,6 +116,11 @@ def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _reorder_columns(matrix: ExactMatrix, order) -> ExactMatrix:
+    """Column k of the result is column order[k] of `matrix`, denominator and all."""
+    return ExactMatrix(([row[c] for c in order] for row in matrix.numerators), [matrix.denominators[c] for c in order])
+
+
 def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
     """Sum over all k-subsets of the product of their elements."""
     return sum(map(prod, itertools.combinations(values, k)), Fraction(0))
@@ -161,24 +166,19 @@ def _check_corollary1(rng, cfg):
 
 
 def _check_antisymmetry(rng, cfg):
-    """Swapping two nodes swaps two columns and negates the closed form,
-    which every oracle within its reach gives on the swapped matrix."""
+    """Swapping two nodes swaps two build columns and negates the closed
+    form, which every oracle within its reach gives on the swapped build."""
     ns = random_node_set(rng, cfg, min_n=2)
+    order = list(range(len(ns)))
     i, j = _index_pair(rng, len(ns))
-    swapped_nodes = list(ns)
-    swapped_nodes[i], swapped_nodes[j] = swapped_nodes[j], swapped_nodes[i]
-    swapped = NodeSet(swapped_nodes)
+    order[i], order[j] = j, i
+    swapped = NodeSet(ns[c] for c in order)
     build, closed = KINDS["vieta"]
     value = -closed(ns)
-    if closed(swapped) != value:
+    matrix = build(swapped, Fraction(0))
+    if closed(swapped) != value or matrix != _reorder_columns(build(ns, Fraction(0)), order):
         return serialize_nodes(ns)
-    swapped_matrix = build(swapped, Fraction(0))
-    for row, srow in zip(build(ns, Fraction(0)).entries, swapped_matrix.entries):
-        permuted = list(row)
-        permuted[i], permuted[j] = permuted[j], permuted[i]
-        if tuple(permuted) != srow:
-            return serialize_nodes(ns)
-    return None if _oracles_give(value, swapped_matrix) else serialize_nodes(ns)
+    return None if _oracles_give(value, matrix) else serialize_nodes(ns)
 
 
 def _check_extension(rng, cfg):
@@ -196,10 +196,9 @@ def _check_extension(rng, cfg):
 
 def _check_degenerate(rng, cfg):
     """Repeated nodes force determinant 0 from the closed form and every
-    oracle within its reach; two zeros zero the last row.  The drawn
-    nodes' matrix with column j set to twice column i gives 0 from every
-    oracle within its reach too: no two of its stored columns are equal,
-    so Bareiss reaches elimination and must find the zero there."""
+    oracle within its reach; two zeros zero the last row.  The oracles give
+    0 on the drawn nodes' matrix with column j set to twice column i too;
+    unless the drawn nodes repeat or node j is 0, Bareiss must eliminate."""
     ns = random_node_set(rng, cfg, min_n=2)
     nodes = list(ns)
     i, j = _index_pair(rng, len(nodes))
@@ -236,32 +235,23 @@ def _check_recombination(rng, cfg):
 
 
 def _check_permutation(rng, cfg):
-    """Permuting nodes permutes table columns and fixes all e_k."""
+    """Permuting the nodes fixes all e_k and permutes the build's columns."""
     ns = random_node_set(rng, cfg)
-    n = len(ns)
-    sigma = list(range(n))
+    sigma = list(range(len(ns)))
     rng.shuffle(sigma)
-    permuted = NodeSet(ns[sigma[j]] for j in range(n))
-    if elem_sym_all(permuted) != elem_sym_all(ns):
-        return serialize_nodes(ns)
-    columns = list(zip(*leave_one_out_table(ns)))
-    permuted_columns = list(zip(*leave_one_out_table(permuted)))
-    for j in range(n):
-        if permuted_columns[j] != columns[sigma[j]]:
-            return serialize_nodes(ns)
-    return None
+    permuted = NodeSet(ns[c] for c in sigma)
+    build = KINDS["vieta"][0]
+    matrix = _reorder_columns(build(ns, Fraction(0)), sigma)
+    holds = elem_sym_all(permuted) == elem_sym_all(ns) and build(permuted, Fraction(0)) == matrix
+    return None if holds else serialize_nodes(ns)
 
 
 def _check_leave_one_out(rng, cfg):
-    """Table entries equal brute-force sums over k-subsets."""
+    """The `KINDS["vieta"]` build equals brute-force sums over k-subsets."""
     ns = random_node_set(rng, cfg, cap=8)
-    table = leave_one_out_table(ns)
-    for j in range(len(ns)):
-        rest = ns[:j] + ns[j + 1:]
-        for k in range(len(ns)):
-            if table[k][j] != _esp_bruteforce(rest, k):
-                return serialize_nodes(ns)
-    return None
+    n = len(ns)
+    sums = ExactMatrix.from_rows([_esp_bruteforce(ns[:j] + ns[j + 1:], k) for j in range(n)] for k in range(n))
+    return None if KINDS["vieta"][0](ns, Fraction(0)) == sums else serialize_nodes(ns)
 
 
 def _check_wronskian(rng, cfg):
@@ -327,13 +317,12 @@ def _check_multilinearity(rng, cfg):
         tuple(tuple(s * e for e in row) if idx == r else row for idx, row in enumerate(matrix.entries))
     )
     i, j = _index_pair(rng, n)
-    rows = list(matrix.entries)
+    rows, d = list(matrix.numerators), matrix.denominators
     rows[i], rows[j] = rows[j], rows[i]
-    swapped = ExactMatrix.from_rows(tuple(rows))
-    eye = ExactMatrix.from_rows(tuple(tuple(Fraction(int(p == q)) for q in range(n)) for p in range(n)))
-    rows = list(matrix.entries)
-    rows[j] = rows[i]
-    duplicated = ExactMatrix.from_rows(tuple(rows))
+    swapped = ExactMatrix(rows, d)
+    rows[i] = rows[j]
+    duplicated = ExactMatrix(rows, d)
+    eye = ExactMatrix(([dq if p == q else 0 for q, dq in enumerate(d)] for p in range(n)), d)
     for det, _ in ORACLES.values():
         base = det(matrix)
         if det(scaled) != s * base or det(swapped) != -base or det(eye) != 1 or det(duplicated) != 0:

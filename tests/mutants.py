@@ -81,9 +81,19 @@ MUTANTS = (
     Mutant(
         "antisymmetry-no-oracles",
         "verify.py",
-        "return None if _oracles_give(value, swapped_matrix) else serialize_nodes(ns)",
+        "return None if _oracles_give(value, matrix) else serialize_nodes(ns)",
         "return None",
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[antisymmetry]",),
+    ),
+    Mutant(
+        "reorder-ignores-order",
+        "verify.py",
+        "return ExactMatrix(([row[c] for c in order] for row in matrix.numerators), [matrix.denominators[c] for c in order])",
+        "return matrix",
+        (
+            "tests/test_verify.py::test_each_identity_passes_briefly[antisymmetry]",
+            "tests/test_verify.py::test_each_identity_passes_briefly[permutation]",
+        ),
     ),
     Mutant(
         "extension-no-oracles",

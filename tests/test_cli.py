@@ -289,6 +289,7 @@ def test_bench_bad_sizes(capsys):
     assert run(capsys, "bench", "--n", "0")[0] == 2
     assert run(capsys, "bench", "--n", "2,x")[0] == 2
     assert run(capsys, "bench", "--n", "2", "--repeats", "0")[0] == 2
+    assert run(capsys, "bench", "--n", "2", "--entry-bits", "0")[0] == 2
 
 
 def test_bench_laplace_guard(capsys):

@@ -68,6 +68,13 @@ def test_load_nodes_file_missing(tmp_path):
         load_nodes_file(tmp_path / "absent.json")
 
 
+def test_load_nodes_file_undecodable_names_the_path(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"nodes": ["1"]}')
+    with pytest.raises(NodesFileError, match="cannot read node file .*bad.json"):
+        load_nodes_file(path)
+
+
 def test_serialize_nodes():
     assert serialize_nodes(NodeSet((1, Fraction(-3, 4)))) == ("1", "-3/4")
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from vietamat import calculus, exactdet, structmat
+from vietamat import calculus, exactdet, structmat, verify
+from vietamat.rational import render_rational
 from vietamat.verify import (
     IDENTITIES,
     UnknownIdentityError,
@@ -305,3 +306,53 @@ def test_oracle_pairs_follow_the_reach(monkeypatch, identity):
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (laplace, 5))
     report = run_identity(identity, 30, 0, VerifyConfig(1, 10))
     assert report.failures == 0, report.first_counterexample
+
+
+def _rotated_columns(ns, at):
+    m = structmat.build_vieta(ns)
+    return structmat.ExactMatrix((row[1:] + row[:1] for row in m.numerators), m.denominators[1:] + m.denominators[:1])
+
+
+def _last_row_is_row_0(ns, at):
+    m = structmat.build_vieta(ns)
+    return structmat.ExactMatrix(m.numerators[:-1] + m.numerators[:1], m.denominators)
+
+
+def _transposed(ns, at):
+    return structmat.ExactMatrix.from_rows(zip(*structmat.build_vieta(ns).entries))
+
+
+def _rotated_basis(ns):
+    basis = calculus.nodal_basis(ns)
+    return basis[1:] + basis[:1]
+
+
+def _unsigned(r):
+    return render_rational(abs(r))
+
+
+# identity -> (table or module, name, planted value): each plant breaks
+# what its identity checks
+PLANTED_FAULTS = {
+    "antisymmetry": (calculus.KINDS, "vieta", (_rotated_columns, structmat.vieta_det_closed)),
+    "permutation": (calculus.KINDS, "vieta", (_rotated_columns, structmat.vieta_det_closed)),
+    "leave_one_out": (calculus.KINDS, "vieta", (_rotated_columns, structmat.vieta_det_closed)),
+    "jacobian": (calculus.KINDS, "jacobian", (_transposed, calculus.jacobian_det_closed)),
+    "recombination": (verify, "nodal_basis", _rotated_basis),
+    "degenerate": (calculus.KINDS, "vieta", (_last_row_is_row_0, structmat.vieta_det_closed)),
+    "roundtrip": (verify, "render_rational", _unsigned),
+}
+
+
+@pytest.mark.parametrize("identity", list(PLANTED_FAULTS))
+def test_each_law_sees_a_planted_fault(monkeypatch, identity):
+    """Rotating the stored columns keeps |det|, and transposing keeps det,
+    so only a law that compares the matrix itself sees them.  A last row
+    equal to row 0 gives det 0 as the repeated nodes do, so only the
+    two-zeros row check of `degenerate` sees it."""
+    where, name, value = PLANTED_FAULTS[identity]
+    if isinstance(where, dict):
+        monkeypatch.setitem(where, name, value)
+    else:
+        monkeypatch.setattr(where, name, value)
+    assert run_identity(identity, 30, 0, VerifyConfig(3, 6, 50)).failures > 0
