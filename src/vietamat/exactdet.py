@@ -5,18 +5,19 @@ library: cofactor expansion (no elimination ideas at all) and
 fraction-free elimination.  A bug would have to strike both the product
 formula and two unrelated determinant routes identically to go unnoticed.
 
-Both run on plain ints and apply a scale once at the end.
-det_laplace clears each row of `entries` to its lcm itself and expands
-bottom-up, one table of minors per row by column set; det_bareiss
-starts from the matrix's stored column scale (`ExactMatrix.numerators`
-over `denominators`), returns 0 at once for two equal stored columns,
-and divides each row by the gcd of its numerators.  It then eliminates
-on a trailing block stored over one int scale per column: a stored
-entry times its column's scale is the true Bareiss entry, each column's
-content moves into its scale before each step, and a step divides by
-prev // gcd(prev, scale product) rather than by the previous pivot prev.
-The two scalings share no code, so a bug in one cannot hide in both.
-Both read only the entries; neither oracle knows the matrix's structure.
+Both run on the matrix's stored ints, `ExactMatrix.numerators` over one
+column scale `denominators`, and apply that scale once at the end; the
+Fraction `entries` are made from the same ints.  det_laplace expands
+them bottom-up, one table of minors per row by column set.  det_bareiss
+returns 0 at once for two equal stored columns, divides each row by the
+gcd of its numerators, and eliminates on a trailing block stored over
+one int scale per column: a stored entry times its column's scale is the
+true Bareiss entry, each column's content moves into its scale before
+each step, and a step divides by prev // gcd(prev, scale product) rather
+than by the previous pivot prev.  What keeps the two apart is the
+algorithm: cofactor expansion, which never divides, against elimination
+over per-column content scales, so a bug in one cannot hide in both.
+Neither oracle knows the matrix's structure.
 `ORACLES` maps each method to an (oracle, reach) pair, the reach being
 the largest n it accepts or None: the one list of oracles and reaches.
 """
@@ -24,7 +25,7 @@ the largest n it accepts or None: the one list of oracles and reaches.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import floordiv, mul
 
 from .structmat import ExactMatrix
@@ -41,15 +42,15 @@ def det_laplace(m: ExactMatrix) -> Fraction:
     """Determinant by cofactor expansion along the first row, built
     bottom-up over column sets.
 
-    Each row is first multiplied by the lcm of its denominators, so the
-    expansion runs on ints and the result is divided by the product of
-    those lcms once.  minors[mask] is the minor on the last
-    popcount(mask) rows and the columns in mask, expanded along its first
-    row; each level is made from the one below, and a term coeff * minor
-    is negated when an odd number of mask's columns lie below coeff's
-    column.  The terms are the textbook expansion's, term for term, two
-    levels are held at once, and a minor no term reaches (a zero
-    column's) is 0.  Sizes beyond LAPLACE_MAX raise LaplaceSizeError
+    Expands the stored int numerators, whose columns are already scaled
+    to ints, and divides by the product of the column denominators once,
+    so no entry is made as a Fraction.  minors[mask] is the minor on the
+    last popcount(mask) rows and the columns in mask, expanded along its
+    first row; each level is made from the one below, and a term
+    coeff * minor is negated when an odd number of mask's columns lie
+    below coeff's column.  The terms are the textbook expansion's, term
+    for term, two levels are held at once, and a minor no term reaches (a
+    zero column's) is 0.  Sizes beyond LAPLACE_MAX raise LaplaceSizeError
     rather than silently switching algorithm.
     """
     n = len(m.numerators)
@@ -58,13 +59,8 @@ def det_laplace(m: ExactMatrix) -> Fraction:
             f"det_laplace is limited to {LAPLACE_MAX}x{LAPLACE_MAX}, got {n}x{n}; "
             "bareiss has no size limit"
         )
-    row_lcms = [lcm(*(e.denominator for e in row)) for row in m.entries]
-    rows = [
-        [e.numerator * (d // e.denominator) for e in row]
-        for row, d in zip(m.entries, row_lcms)
-    ]
-    minors = {1 << j: coeff for j, coeff in enumerate(rows[-1]) if coeff}
-    for row in reversed(rows[:-1]):
+    minors = {1 << j: coeff for j, coeff in enumerate(m.numerators[-1]) if coeff}
+    for row in reversed(m.numerators[:-1]):
         level: dict[int, int] = {}
         for mask, minor in minors.items():
             negate = False
@@ -76,7 +72,7 @@ def det_laplace(m: ExactMatrix) -> Fraction:
                     term = coeff * minor
                     level[mask | bit] = level.get(mask | bit, 0) + (-term if negate else term)
         minors = level
-    return Fraction(minors.get((1 << n) - 1, 0), prod(row_lcms))
+    return Fraction(minors.get((1 << n) - 1, 0), prod(m.denominators))
 
 
 def det_bareiss(m: ExactMatrix) -> Fraction:
@@ -118,7 +114,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     column shares one scale): every later entry is a minor of the input
     over the pivot rows chosen so far, so pivots from rows of small
     entries keep the later entries small.  Swaps are counted for the
-    sign.  All of this reads only the entries.
+    sign.  All of this reads only the stored ints.
     """
     n = len(m.numerators)
     if len(set(zip(zip(*m.numerators), m.denominators))) < n:

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-_WIRE_RE = re.compile(r"[+-]?[0-9]+(?:/([0-9]+))?")
+_WIRE_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 class RationalParseError(ValueError):
     """Text does not denote a rational in wire syntax."""
@@ -40,10 +40,12 @@ def parse_rational(text: str) -> Fraction:
     if match is None or match.end() != len(text):
         position = match.end() if match is not None else 0
         raise RationalParseError(text, position, "expected integer or numerator/denominator")
-    denominator = match.group(1)
-    if denominator is not None and int(denominator) == 0:
-        raise RationalParseError(text, match.start(1), "denominator is zero")
-    return Fraction(text)
+    # The denominator first: a part past the int str-digit limit raises
+    # ValueError, naming the denominator's digits when both parts are long.
+    denominator = int(match.group(2) or 1)
+    if denominator == 0:
+        raise RationalParseError(text, match.start(2), "denominator is zero")
+    return Fraction(int(match.group(1)), denominator)
 
 
 def render_rational(value: Fraction) -> str:

@@ -147,6 +147,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "laplace-scale-short",
+        "exactdet.py",
+        "return Fraction(minors.get((1 << n) - 1, 0), prod(m.denominators))",
+        "return Fraction(minors.get((1 << n) - 1, 0), prod(m.denominators[1:]))",
+        (
+            "tests/test_exactdet.py::test_laplace_on_signed_scaled_permutation_matrices",
+            "tests/test_exactdet.py::test_both_oracles_match_leibniz",
+            "tests/test_exactdet.py::test_laplace_builds_no_fraction",
+        ),
+    ),
+    Mutant(
         "bareiss-divisor-h",
         "exactdet.py",
         "divisors[j] = h // g",
@@ -302,6 +313,17 @@ MUTANTS = (
         (
             "tests/test_calculus.py::test_builders_match_naive_fractions[vandermonde]",
             "tests/test_structmat.py::test_sign_bridge",
+        ),
+    ),
+    Mutant(
+        "parse-ignores-denominator",
+        "rational.py",
+        "return Fraction(int(match.group(1)), denominator)",
+        "return Fraction(int(match.group(1)))",
+        (
+            "tests/test_rational.py::test_parse_canonicalizes",
+            "tests/test_rational.py::test_parse_hands_fraction_only_ints",
+            "tests/test_rational.py::test_roundtrip",
         ),
     ),
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vietamat import exactdet
+from vietamat import exactdet, structmat
 from vietamat.bench import bench_node_set
 from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_matrix
 from vietamat.exactdet import LAPLACE_MAX, LaplaceSizeError, det_bareiss, det_laplace
@@ -240,6 +240,25 @@ def test_laplace_zero_column_at_the_guard_size():
     n = LAPLACE_MAX
     rows = [[0 if j == 3 else Fraction(i + 2, j + 1) ** j for j in range(n)] for i in range(n)]
     assert det_laplace(ExactMatrix.from_rows(rows)) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_laplace_builds_no_fraction(monkeypatch, kind):
+    """Laplace expands the stored ints and divides by the product of the
+    column denominators once: with `structmat.Fraction` unusable, so that
+    reading `entries` fails, it still gives Bareiss's value on eight
+    rational nodes, the Wronskian's at -3/7."""
+    ns = NodeSet(Fraction(3 * k - 7, k + 2) for k in range(LAPLACE_MAX))
+    build, _ = KINDS[kind]
+    m = build(ns, Fraction(-3, 7))
+    expected = det_bareiss(m)
+    assert expected != 0
+
+    def refuse(*args):
+        raise AssertionError("det_laplace built a Fraction entry")
+
+    monkeypatch.setattr(structmat, "Fraction", refuse)
+    assert det_laplace(m) == expected
 
 
 def test_bareiss_integer_input_stays_integral():

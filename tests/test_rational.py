@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vietamat import rational
 from vietamat.rational import RationalParseError, parse_rational, render_ratio, render_rational
 
 # Every scalar in the library is a Fraction, so its arithmetic is Fraction's.
@@ -46,11 +48,34 @@ def test_parse_syntax_errors_report_position(text, position):
     assert excinfo.value.position == position
 
 
+def test_parse_hands_fraction_only_ints(monkeypatch):
+    """Each digit string is converted once, and Fraction gets ints, never
+    the text to parse a second time."""
+
+    def ints_only(*args):
+        assert all(type(a) is int for a in args), f"Fraction got {args!r}"
+        return Fraction(*args)
+
+    monkeypatch.setattr(rational, "Fraction", ints_only)
+    for text, value in (("-3", -3), ("+3", 3), ("0/7", 0), ("3/6", Fraction(1, 2)), ("-007/014", Fraction(-1, 2))):
+        assert parse_rational(text) == value
+
+
 def test_parse_zero_denominator():
     with pytest.raises(RationalParseError) as excinfo:
         parse_rational("3/0")
     assert excinfo.value.position == 2
     assert "zero" in str(excinfo.value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str-digit limit")
+def test_parse_over_the_digit_limit_names_the_denominator_first():
+    # ValueError, not RationalParseError: the CLI exits 2 with int's text.
+    with pytest.raises(ValueError, match="value has 4500 digits") as excinfo:
+        parse_rational("7" * 4400 + "/" + "3" * 4500)
+    assert not isinstance(excinfo.value, RationalParseError)
+    with pytest.raises(ValueError, match="value has 4400 digits"):
+        parse_rational("-" + "7" * 4400 + "/3")
 
 
 def test_render_format():
