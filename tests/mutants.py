@@ -5,27 +5,30 @@
 For each entry, `src/` is copied to a temporary directory, the entry's
 snippet must occur exactly once in its file (so a refactor that moves the
 code fails loudly instead of skipping the mutant), and it is replaced.
-Only the named pytest IDs then run, with PYTHONPATH pointing at the copy.
-The mutant is killed when every named ID reports a failure; a named ID
-that still passes is a survivor.  Before any mutant runs, all named IDs
-must pass on an unmutated copy, and that copy must be the package the
-tests import.  Each mutant's line gives its seconds beside `killed` or
-`SURVIVED`.  Exits 1 on any survivor, missing snippet or broken run.
+A forked child then imports `vietamat` from the copy and runs only the
+named pytest IDs with `pytest.main`; a plugin sends the IDs whose call
+phase failed back through a pipe.  The mutant is killed when every named
+ID fails; a named ID that still passes is a survivor.  Before any mutant
+runs, all named IDs must pass on an unmutated copy.  Each mutant's line
+gives its seconds beside `killed` or `SURVIVED`.  Exits 1 on any
+survivor, missing snippet or broken run.  Needs `os.fork`.
 
-Standard library only.  pytest does not collect this file: its name does
-not match test_*.py.
+pytest does not collect this file: its name does not match test_*.py.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
+
+import pytest
+from hypothesis import Phase, settings
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -326,53 +329,96 @@ MUTANTS = (
             "tests/test_rational.py::test_roundtrip",
         ),
     ),
+    Mutant(
+        "render-ratio-no-gcd",
+        "rational.py",
+        "g = gcd(numerator, denominator)",
+        "g = 1",
+        (
+            "tests/test_matio.py::test_matrix_csv_fractions",
+            "tests/test_cli.py::test_build_output_is_pinned",
+        ),
+    ),
+    Mutant(
+        "node-file-numbers-ok",
+        "matio.py",
+        "if not all(isinstance(v, str) for v in values):",
+        "if False:",
+        ("tests/test_matio.py::test_load_nodes_file_schema_errors",),
+    ),
+    Mutant(
+        "internal-error-as-input",
+        "cli.py",
+        "        return 4",
+        "        return 2",
+        ("tests/test_cli.py::test_internal_error_exit_code",),
+    ),
+    Mutant(
+        "det-method-ignored",
+        "cli.py",
+        'if args.method == "closed":',
+        "if True:",
+        ("tests/test_cli.py::test_laplace_guard_exit_code",),
+    ),
 )
 
 
-def _copy_src(tmp: str) -> Path:
-    src = Path(tmp) / "src"
-    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    return src
+class Gate:
+    """pytest plugin: Hypothesis neither shrinks nor replays a failure (a
+    mutant needs only to fail, and a shrink can take minutes), and each node
+    ID whose call phase failed is written to `pipe`."""
 
+    def __init__(self, pipe: int) -> None:
+        self.pipe = pipe
 
-def _env(src: Path) -> dict[str, str]:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    return env
-
-
-# pytest, with Hypothesis neither shrinking a failure nor replaying a stored
-# one: a mutant needs only to fail, and a shrink can take minutes.
-PYTEST = """
-import sys
-import pytest
-
-class NoShrink:
-    def pytest_configure(self, config):
-        from hypothesis import Phase, settings
+    def pytest_configure(self, config) -> None:
         settings.register_profile("mutants", database=None, phases=(Phase.explicit, Phase.generate))
         settings.load_profile("mutants")
 
-sys.exit(pytest.main(sys.argv[1:], plugins=[NoShrink()]))
-"""
+    def pytest_runtest_logreport(self, report) -> None:
+        if report.when == "call" and report.failed:
+            os.write(self.pipe, f"{report.nodeid}\n".encode())
 
 
-def _pytest(src: Path, ids) -> tuple[int, set[str], str]:
-    """Run `ids` against the package under `src`: the exit code, the
-    failed node IDs, and the output."""
-    proc = subprocess.run(
-        [sys.executable, "-c", PYTEST, "-q", "-rf", "-p", "no:cacheprovider", *ids],
-        cwd=REPO,
-        env=_env(src),
-        capture_output=True,
-        text=True,
-    )
-    failed = {
-        line[len("FAILED "):].split(" - ")[0]
-        for line in proc.stdout.splitlines()
-        if line.startswith("FAILED ")
-    }
-    return proc.returncode, failed, proc.stdout + proc.stderr
+def _pytest(ids, mutant: Mutant | None = None) -> tuple[int, set[str], str]:
+    """Run `ids` in a forked child against a copy of `src/` with `mutant`
+    applied: the exit code, the failed node IDs, and the output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if mutant:
+            _mutate(src, mutant)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _child(src, ids, write)
+        os.close(write)
+        with os.fdopen(read) as pipe:
+            failed = set(pipe.read().splitlines())
+        _, status = os.waitpid(pid, 0)
+        return os.waitstatus_to_exitcode(status), failed, (Path(tmp) / "pytest.log").read_text()
+
+
+def _child(src: Path, ids, pipe: int) -> NoReturn:
+    """Run `ids` on the copy `src`; the output and Hypothesis's storage go
+    beside it, not into the checkout.  Exits with pytest's code, or 3."""
+    code = 3
+    try:
+        with open(src.parent / "pytest.log", "w") as out:
+            os.dup2(out.fileno(), 1)
+            os.dup2(out.fileno(), 2)
+        os.chdir(REPO)
+        sys.dont_write_bytecode = True
+        os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = str(src.parent / ".hypothesis")
+        sys.path.insert(0, str(src))
+        import vietamat
+        if not vietamat.__file__.startswith(str(src)):
+            raise ImportError(f"vietamat imports from {vietamat.__file__!r}, not from the copy {src}")
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *ids], plugins=[Gate(pipe)])
+    except BaseException:
+        traceback.print_exc()
+    sys.stdout.flush()
+    os._exit(code)
 
 
 def _mutate(src: Path, mutant: Mutant) -> None:
@@ -385,30 +431,15 @@ def _mutate(src: Path, mutant: Mutant) -> None:
 
 
 def _baseline() -> None:
-    """All named IDs pass on an unmutated copy, which is the package the
-    tests import."""
-    ids = sorted({test for m in MUTANTS for test in m.kills})
-    with tempfile.TemporaryDirectory() as tmp:
-        src = _copy_src(tmp)
-        where = subprocess.run(
-            [sys.executable, "-c", "import vietamat; print(vietamat.__file__)"],
-            env=_env(src),
-            capture_output=True,
-            text=True,
-        ).stdout.strip()
-        if not where.startswith(str(src)):
-            raise SystemExit(f"baseline: vietamat imports from {where!r}, not from the copy {src}")
-        code, _, output = _pytest(src, ids)
+    """All named IDs pass on an unmutated copy."""
+    code, _, output = _pytest(sorted({test for m in MUTANTS for test in m.kills}))
     if code != 0:
         raise SystemExit(f"baseline: the named tests do not all pass unmutated (exit {code})\n{output}")
 
 
 def _killed(mutant: Mutant) -> bool:
     """Every named ID fails on a copy with the mutant applied."""
-    with tempfile.TemporaryDirectory() as tmp:
-        src = _copy_src(tmp)
-        _mutate(src, mutant)
-        code, failed, output = _pytest(src, mutant.kills)
+    code, failed, output = _pytest(mutant.kills, mutant)
     survivors = [
         test for test in mutant.kills if not any(f == test or f.startswith(test + "[") for f in failed)
     ]
