@@ -3,7 +3,9 @@
 Every scalar in this library is a ``fractions.Fraction``: arbitrary
 precision, always in lowest terms with a positive denominator, and with
 zero represented uniquely as 0/1.  Equality is therefore structural and
-exact; no float ever enters an identity computation.
+exact; no float ever enters an identity computation: the value
+constructors take Fractions, ints and wire text only, through
+`as_fraction`.
 
 Wire syntax (used by the CLI, JSON node files, and CSV matrices):
 an optional sign followed by digits, optionally followed by ``/`` and an
@@ -46,6 +48,19 @@ def parse_rational(text: str) -> Fraction:
     if denominator == 0:
         raise RationalParseError(text, match.start(2), "denominator is zero")
     return Fraction(int(match.group(1)), denominator)
+
+
+def as_fraction(value: Fraction | int | str) -> Fraction:
+    """`value` as a Fraction: a Fraction as it stands, an int exactly, and
+    a str through `parse_rational`, so text has the CLI's one grammar.
+    Anything else, a float included, raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"a rational must be a Fraction, an int or wire text, not {type(value).__name__}")
 
 
 def render_rational(value: Fraction) -> str:

@@ -17,6 +17,7 @@ from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple
 
+from .rational import as_fraction
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, poly_from_roots
 
 
@@ -32,8 +33,8 @@ class ExactMatrix:
 
     `ExactMatrix(numerators, denominators)` takes the integer form and
     raises ValueError unless the numerators are a square grid of ints and
-    there is one int >= 1 per column; `from_rows(rows)` takes any
-    rationals and clears each column to its lcm once.  Both reject any
+    there is one int >= 1 per column; `from_rows` takes rows of rationals
+    (`as_fraction`) and clears each column to its lcm once.  Both reject any
     shape but square, so the `matio` JSON/CSV readers reject non-square
     text too.
     """
@@ -51,7 +52,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Fraction]]) -> "ExactMatrix":
-        rows = [[Fraction(e) for e in row] for row in rows]
+        rows = [[as_fraction(e) for e in row] for row in rows]
         # Before zip(*rows), which would cut ragged rows to a square.
         _require_square(rows)
         denominators = [lcm(*(e.denominator for e in column)) for column in zip(*rows)]
@@ -74,7 +75,7 @@ class ExactMatrix:
         )
 
     def __repr__(self):
-        return f"ExactMatrix.from_rows({self.entries!r})"
+        return f"ExactMatrix({self.numerators!r}, {self.denominators!r})"
 
 
 def _require_square(rows) -> None:
@@ -207,12 +208,11 @@ def vieta_extension_poly(ns: NodeSet) -> DensePolynomial:
     polynomial in x.
 
     Closed form: (-1)^n * vieta_det_closed(ns) * prod_i (x - a_i), of
-    degree n.  Repeated nodes zero the leading constant, and the zero
-    polynomial is returned without building the product of the roots.
+    degree n; (-1)^n is a closed-form factor.  A repeated node zeroes the
+    constant, and then the product of the roots is not built.
     """
-    lead = vieta_det_closed(ns)
+    lead = vieta_det_closed(ns, factors=[-1] * (len(ns) % 2))
     if lead == 0:
         return DensePolynomial((), 1)
-    if len(ns) % 2:
-        lead = -lead
-    return poly_from_roots(ns) * DensePolynomial.of(lead)
+    roots = poly_from_roots(ns)
+    return DensePolynomial([c * lead.numerator for c in roots.numerators], roots.denominator * lead.denominator)

@@ -14,18 +14,20 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable
 
+from .rational import as_fraction
+
 
 class NodeSet(tuple):
     """Ordered rational nodes; at least one node, duplicates allowed.
 
     A tuple of `Fraction`s, equal to the plain tuple of its nodes;
-    `NodeSet(nodes)` converts only the values that are not `Fraction`s.
+    `NodeSet(nodes)` converts each value that is not one by `as_fraction`.
     """
 
     __slots__ = ()
 
     def __new__(cls, nodes: Iterable[Fraction]):
-        self = super().__new__(cls, (v if type(v) is Fraction else Fraction(v) for v in nodes))
+        self = super().__new__(cls, (v if type(v) is Fraction else as_fraction(v) for v in nodes))
         if not self:
             raise ValueError("a node set needs at least one node")
         return self
@@ -46,8 +48,8 @@ class DensePolynomial:
 
     `DensePolynomial(numerators, denominator)` takes the integer form and
     raises ValueError unless the numerators are ints and the denominator
-    is an int >= 1; `of(*coefficients)` takes any rationals and clears
-    them to their lcm once.
+    is an int >= 1; `of(*coefficients)` takes Fractions, ints or wire
+    text (`as_fraction`) and clears them to their lcm once.
     """
 
     def __init__(self, numerators: Iterable[int], denominator: int):
@@ -63,7 +65,7 @@ class DensePolynomial:
 
     @classmethod
     def of(cls, *coefficients) -> "DensePolynomial":
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [as_fraction(c) for c in coefficients]
         denominator = lcm(*(c.denominator for c in coeffs))
         return cls([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
 
@@ -80,7 +82,7 @@ class DensePolynomial:
         return len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
 
     def __repr__(self):
-        return f"DensePolynomial.of{self.coefficients!r}"
+        return f"DensePolynomial({self.numerators!r}, {self.denominator!r})"
 
     def __call__(self, x: Fraction) -> Fraction:
         """Evaluate at x: the first entry of `derivatives`, reduced once."""

@@ -34,7 +34,7 @@ from .bench import random_rational, trial_rng
 from .calculus import KINDS, nodal_basis, wronskian_matrix
 from .exactdet import ORACLES
 from .matio import serialize_nodes
-from .rational import parse_rational, render_rational
+from .rational import parse_rational, render_ratio, render_rational
 from .structmat import ExactMatrix, shift_nodes, vieta_extension_poly
 from .sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
@@ -119,6 +119,11 @@ def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
 def _reorder_columns(matrix: ExactMatrix, order) -> ExactMatrix:
     """Column k of the result is column order[k] of `matrix`, denominator and all."""
     return ExactMatrix(([row[c] for c in order] for row in matrix.numerators), [matrix.denominators[c] for c in order])
+
+
+def _render_entries(matrix: ExactMatrix) -> tuple[str, ...]:
+    """The entries' wire text, row-major, rendered from the stored ints."""
+    return tuple(render_ratio(e, d) for row in matrix.numerators for e, d in zip(row, matrix.denominators))
 
 
 def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
@@ -228,8 +233,8 @@ def _check_recombination(rng, cfg):
     """Column j times (x - a_j) rebuilds the full root polynomial."""
     ns = random_node_set(rng, cfg)
     full = poly_from_roots(ns)
-    for j, poly in enumerate(nodal_basis(ns)):
-        if poly * DensePolynomial.of(-ns[j], 1) != full:
+    for poly, a in zip(nodal_basis(ns), ns):
+        if poly * DensePolynomial((-a.numerator, a.denominator), a.denominator) != full:
             return serialize_nodes(ns)
     return None
 
@@ -278,19 +283,15 @@ def _check_jacobian(rng, cfg):
     matrix = build(point, Fraction(0))
     if not _oracles_give(closed(point), matrix):
         return serialize_nodes(point)
-    n = len(point)
     h = Fraction(1, 7)
-    for c in range(n):
-        plus = list(point)
-        minus = list(point)
-        plus[c] += h
-        minus[c] -= h
-        e_plus = elem_sym_all(NodeSet(plus))
-        e_minus = elem_sym_all(NodeSet(minus))
-        for r in range(1, n + 1):
+    for c, a in enumerate(point):
+        e_plus = elem_sym_all(NodeSet(point[:c] + (a + h,) + point[c + 1:]))
+        e_minus = elem_sym_all(NodeSet(point[:c] + (a - h,) + point[c + 1:]))
+        for r, row in enumerate(matrix.numerators, 1):
             # e_r is degree <= 1 in each coordinate, so the symmetric
             # quotient is the exact partial, not an approximation
-            if (e_plus[r] - e_minus[r]) / (2 * h) != matrix.entries[r - 1][c]:
+            q = (e_plus[r] - e_minus[r]) / (2 * h)
+            if q.numerator * matrix.denominators[c] != q.denominator * row[c]:
                 return serialize_nodes(point)
     return None
 
@@ -300,9 +301,7 @@ def _check_oracle_agreement(rng, cfg):
     smallest reach.  Counterexamples serialize the entries row-major."""
     n = _random_size(rng, cfg, cap=_smallest_reach())
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
-    if len({det(matrix) for det, _ in ORACLES.values()}) > 1:
-        return tuple(render_rational(e) for row in matrix.entries for e in row)
-    return None
+    return _render_entries(matrix) if len({det(matrix) for det, _ in ORACLES.values()}) > 1 else None
 
 
 def _check_multilinearity(rng, cfg):
@@ -313,11 +312,12 @@ def _check_multilinearity(rng, cfg):
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
     s = random_rational(rng, cfg.coeff_bound)
     r = rng.randrange(n)
-    scaled = ExactMatrix.from_rows(
-        tuple(tuple(s * e for e in row) if idx == r else row for idx, row in enumerate(matrix.entries))
-    )
     i, j = _index_pair(rng, n)
     rows, d = list(matrix.numerators), matrix.denominators
+    scaled = ExactMatrix(
+        ([e * (s.numerator if p == r else s.denominator) for e in row] for p, row in enumerate(rows)),
+        [dq * s.denominator for dq in d],
+    )
     rows[i], rows[j] = rows[j], rows[i]
     swapped = ExactMatrix(rows, d)
     rows[i] = rows[j]
@@ -326,7 +326,7 @@ def _check_multilinearity(rng, cfg):
     for det, _ in ORACLES.values():
         base = det(matrix)
         if det(scaled) != s * base or det(swapped) != -base or det(eye) != 1 or det(duplicated) != 0:
-            return tuple(render_rational(e) for row in matrix.entries for e in row)
+            return _render_entries(matrix)
     return None
 
 

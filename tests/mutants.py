@@ -256,7 +256,7 @@ MUTANTS = (
     Mutant(
         "nodeset-no-coerce",
         "sympoly.py",
-        "(v if type(v) is Fraction else Fraction(v) for v in nodes)",
+        "(v if type(v) is Fraction else as_fraction(v) for v in nodes)",
         "nodes",
         ("tests/test_sympoly.py::test_node_set_is_an_immutable_value",),
     ),
@@ -360,6 +360,27 @@ MUTANTS = (
         "if True:",
         ("tests/test_cli.py::test_laplace_guard_exit_code",),
     ),
+    Mutant(
+        "multilinearity-scale-every-row",
+        "verify.py",
+        "s.numerator if p == r else s.denominator",
+        "s.numerator",
+        (
+            "tests/test_verify.py::test_each_identity_passes_briefly[multilinearity]",
+            "tests/test_verify.py::test_matrix_laws_read_only_the_stored_ints[multilinearity]",
+        ),
+    ),
+    Mutant(
+        "extension-unsigned",
+        "structmat.py",
+        "vieta_det_closed(ns, factors=[-1] * (len(ns) % 2))",
+        "vieta_det_closed(ns)",
+        (
+            "tests/test_structmat.py::test_extension_poly_examples",
+            "tests/test_structmat.py::test_extension_poly_constant_term_identity",
+            "tests/test_acceptance.py::test_criterion_5_extension_polynomial",
+        ),
+    ),
 )
 
 
@@ -414,7 +435,10 @@ def _child(src: Path, ids, pipe: int) -> NoReturn:
         import vietamat
         if not vietamat.__file__.startswith(str(src)):
             raise ImportError(f"vietamat imports from {vietamat.__file__!r}, not from the copy {src}")
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *ids], plugins=[Gate(pipe)])
+        # The parent imported Hypothesis before pytest could mark it for
+        # assertion rewriting; the warning would head every printed log.
+        args = ["-q", "-p", "no:cacheprovider", "-W", "ignore::pytest.PytestAssertRewriteWarning", *ids]
+        code = pytest.main(args, plugins=[Gate(pipe)])
     except BaseException:
         traceback.print_exc()
     sys.stdout.flush()

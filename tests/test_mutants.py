@@ -29,5 +29,6 @@ def test_gate_exits_1_on_a_survivor_and_on_a_broken_run():
     assert "planted-no-op: SURVIVED tests/test_cli.py::test_internal_error_exit_code" in out
     assert "planted-syntax-error: pytest exited" in out
     assert "SyntaxError" in out
+    assert "PytestAssertRewriteWarning" not in out
     assert "internal-error-as-input: killed" in out
     assert "1/3 killed" in out

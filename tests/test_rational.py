@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vietamat import rational
-from vietamat.rational import RationalParseError, parse_rational, render_ratio, render_rational
+from vietamat.rational import RationalParseError, as_fraction, parse_rational, render_ratio, render_rational
+from vietamat.structmat import ExactMatrix
+from vietamat.sympoly import DensePolynomial, NodeSet
 
 # Every scalar in the library is a Fraction, so its arithmetic is Fraction's.
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -130,3 +133,33 @@ def test_render_ratio_reduces():
     assert render_ratio(-8, 4) == "-2"
     assert render_ratio(0, 9) == "0"
     assert render_rational(7) == "7"
+
+
+def test_as_fraction_is_the_wire_grammar():
+    """Fractions pass as they stand, ints convert exactly, text parses as
+    the CLI parses it, and nothing else is a rational."""
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    assert as_fraction(-7) == -7 and type(as_fraction(-7)) is Fraction
+    assert as_fraction("-6/4") == Fraction(-3, 2)
+    for text in ("1.5", " 2 ", "1_0", "1e3", ""):
+        with pytest.raises(RationalParseError):
+            as_fraction(text)
+    for value in (0.1, Decimal("2"), None, b"1"):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            as_fraction(value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [NodeSet, lambda values: DensePolynomial.of(*values), lambda values: ExactMatrix.from_rows([values])],
+    ids=["NodeSet", "DensePolynomial.of", "ExactMatrix.from_rows"],
+)
+def test_value_constructors_read_rationals_through_as_fraction(make):
+    """Each value constructor takes text in the CLI's grammar and no float."""
+    assert make(["-6/4"]) == make([Fraction(-3, 2)])
+    for text in ("1.5", " 2 ", "1_0", "1e3"):
+        with pytest.raises(RationalParseError):
+            make([text])
+    with pytest.raises(TypeError, match="float"):
+        make([0.1])

@@ -29,6 +29,15 @@ def test_matrix_validation():
     assert m.entries[1] == (3, 4)
 
 
+def test_matrix_repr_round_trips():
+    """The repr is the int constructor's call, over mixed column scales."""
+    m = ExactMatrix(((1, -2), (0, 9)), (3, 4))
+    assert repr(m) == "ExactMatrix(((1, -2), (0, 9)), (3, 4))"
+    assert eval(repr(m)) == m
+    built = build_vieta(NodeSet((Fraction(1, 2), Fraction(-2, 3), 5)))
+    assert eval(repr(built)) == built
+
+
 def test_matrix_rejects_rectangular():
     with pytest.raises(ValueError, match="square"):
         ExactMatrix.from_rows([[1, 2, 3]])

@@ -106,7 +106,7 @@ def test_polynomial_trims_and_degrees():
 def test_scaled_polynomial_equals_its_fraction_twin():
     p = DensePolynomial([2, -4, 6, 0, 0], 4)
     twin = DensePolynomial.of(Fraction(1, 2), -1, Fraction(3, 2), 0)
-    assert p == twin
+    assert p == twin == DensePolynomial.of("1/2", "-1", "6/4", 0)
     with pytest.raises(TypeError):
         hash(p)
     assert p.coefficients == twin.coefficients == (Fraction(1, 2), -1, Fraction(3, 2))
@@ -114,6 +114,16 @@ def test_scaled_polynomial_equals_its_fraction_twin():
     assert DensePolynomial([0, 0], 7) == DensePolynomial((), 1)
     assert DensePolynomial([0, 0], 7).coefficients == ()
     assert p != DensePolynomial([2, -4, 6], 3)
+
+
+def test_polynomial_repr_round_trips():
+    for p, text in [
+        (DensePolynomial((3, 0, -2), 5), "DensePolynomial((3, 0, -2), 5)"),
+        (DensePolynomial((4,), 1), "DensePolynomial((4,), 1)"),
+        (DensePolynomial((), 1), "DensePolynomial((), 1)"),
+    ]:
+        assert repr(p) == text
+        assert eval(repr(p)) == p
 
 
 @pytest.mark.parametrize(

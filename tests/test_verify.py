@@ -356,3 +356,32 @@ def test_each_law_sees_a_planted_fault(monkeypatch, identity):
     else:
         monkeypatch.setattr(where, name, value)
     assert run_identity(identity, 30, 0, VerifyConfig(3, 6, 50)).failures > 0
+
+
+def _no_entries(matrix):
+    raise AssertionError("ExactMatrix.entries was read")
+
+
+@pytest.mark.parametrize("identity", ["jacobian", "multilinearity", "oracle_agreement"])
+def test_matrix_laws_read_only_the_stored_ints(monkeypatch, identity):
+    """With `ExactMatrix.entries` raising, these identities still pass."""
+    monkeypatch.setattr(structmat.ExactMatrix, "entries", property(_no_entries))
+    assert run_identity(identity, 30, 0, VerifyConfig(1, 6, 50)).failures == 0
+
+
+@pytest.mark.parametrize("identity", ["oracle_agreement", "multilinearity"])
+def test_counterexample_is_the_drawn_matrix_in_wire_text(monkeypatch, identity):
+    """A wrong oracle fails every trial, and the first counterexample is
+    the first drawn matrix, row-major, as `render_rational` writes it."""
+    draw, drawn = verify._random_matrix, []
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_random_matrix", recording)
+    monkeypatch.setitem(exactdet.ORACLES, "wrong", (_plus_one(exactdet.det_bareiss), None))
+    report = run_identity(identity, 5, 0, VerifyConfig())
+    assert report.failures == 5
+    assert report.first_counterexample == tuple(render_rational(e) for row in drawn[0].entries for e in row)
+    assert any("/" in text for text in report.first_counterexample)
