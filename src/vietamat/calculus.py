@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .rational import as_fraction
 from .structmat import ExactMatrix, build_vandermonde, build_vieta, shift_nodes, vandermonde_det_closed, vieta_det_closed
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, monic
 
@@ -34,14 +35,14 @@ def nodal_basis(ns: NodeSet) -> tuple[DensePolynomial, ...]:
 
 
 def wronskian_matrix(basis: Sequence[DensePolynomial], x0: Fraction) -> ExactMatrix:
-    """Matrix with entry (r, j) = r-th derivative of basis[j] at x0.
+    """Matrix with entry (r, j) = r-th derivative of basis[j] at x0, read by `as_fraction`.
 
     Works for any polynomial family, of any degree.  Column j is
     `basis[j].derivatives(x0, n)`: ints over one denominator, nothing
     reduced.  An empty family is rejected, as any empty matrix is.
     """
     n = len(basis)
-    x0 = Fraction(x0)
+    x0 = as_fraction(x0)
     columns = [p.derivatives(x0, n) for p in basis]
     return ExactMatrix(zip(*(column for column, _ in columns)), [d for _, d in columns])
 

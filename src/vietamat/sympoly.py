@@ -10,7 +10,6 @@ ints over one denominator; no numerators at all is the zero polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable
 
@@ -41,7 +40,6 @@ class DensePolynomial:
     not be the least one.  Trailing zeros are trimmed at construction, so
     a nonzero polynomial always has a nonzero leading coefficient and the
     zero polynomial, `DensePolynomial((), 1)`, has no numerators.
-    `coefficients`, the canonical Fractions, is made on first read.
     Equality compares values, not scales, by cross-multiplying the stored
     ints, so it builds no Fraction; instances are not hashable.  Treat
     them as immutable.  `*` multiplies two polynomials.
@@ -68,11 +66,6 @@ class DensePolynomial:
         coeffs = [as_fraction(c) for c in coefficients]
         denominator = lcm(*(c.denominator for c in coeffs))
         return cls([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
-
-    @cached_property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        d = self.denominator
-        return tuple(Fraction(c, d) for c in self.numerators)
 
     def __eq__(self, other):
         if not isinstance(other, DensePolynomial):

@@ -36,7 +36,7 @@ from .exactdet import ORACLES
 from .matio import serialize_nodes
 from .rational import parse_rational, render_ratio, render_rational
 from .structmat import ExactMatrix, shift_nodes, vieta_extension_poly
-from .sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
+from .sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots, scaled_product
 
 MAX_SEED = 2**64 - 1
 
@@ -240,14 +240,14 @@ def _check_recombination(rng, cfg):
 
 
 def _check_permutation(rng, cfg):
-    """Permuting the nodes fixes all e_k and permutes the build's columns."""
+    """Permuting the nodes keeps the root product's ints, so every e_k, and permutes the build's columns."""
     ns = random_node_set(rng, cfg)
     sigma = list(range(len(ns)))
     rng.shuffle(sigma)
     permuted = NodeSet(ns[c] for c in sigma)
     build = KINDS["vieta"][0]
     matrix = _reorder_columns(build(ns, Fraction(0)), sigma)
-    holds = elem_sym_all(permuted) == elem_sym_all(ns) and build(permuted, Fraction(0)) == matrix
+    holds = scaled_product(permuted) == scaled_product(ns) and build(permuted, Fraction(0)) == matrix
     return None if holds else serialize_nodes(ns)
 
 

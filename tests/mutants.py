@@ -381,6 +381,20 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_5_extension_polynomial",
         ),
     ),
+    Mutant(
+        "wronskian-point-fraction",
+        "calculus.py",
+        "x0 = as_fraction(x0)",
+        "x0 = Fraction(x0)",
+        ("tests/test_calculus.py::test_wronskian_point_is_read_by_the_wire_grammar",),
+    ),
+    Mutant(
+        "permutation-no-ek",
+        "verify.py",
+        "holds = scaled_product(permuted) == scaled_product(ns) and ",
+        "holds = ",
+        ("tests/test_verify.py::test_permutation_compares_the_root_products_ints",),
+    ),
 )
 
 

@@ -100,7 +100,7 @@ def test_criterion_3_degenerate_cases():
                 nodes[rng.choice(spots)] = Fraction(0)
             two_zeros = NodeSet(nodes)
             matrix = build_vieta(two_zeros)
-            assert all(e == 0 for e in matrix.entries[-1])
+            assert not any(matrix.numerators[-1])
             assert vieta_det_closed(two_zeros) == 0
             assert det_bareiss(matrix) == 0
         for trial in range(50):
@@ -172,7 +172,7 @@ def test_criterion_7_jacobian():
             point = random_node_set(rng, cfg)
             n = len(point)
             matrix = jacobian_matrix(point)
-            assert matrix.entries == build_vieta(point).entries
+            assert matrix == build_vieta(point)
             assert det_bareiss(matrix) == jacobian_det_closed(point)
             for c in range(n):
                 plus = list(point)
@@ -182,7 +182,7 @@ def test_criterion_7_jacobian():
                 e_plus = elem_sym_all(NodeSet(plus))
                 e_minus = elem_sym_all(NodeSet(minus))
                 for r in range(1, n + 1):
-                    assert (e_plus[r] - e_minus[r]) / (2 * h) == matrix.entries[r - 1][c]
+                    assert (e_plus[r] - e_minus[r]) / (2 * h) * matrix.denominators[c] == matrix.numerators[r - 1][c]
 
 
 def test_criterion_8_sign_bridge():

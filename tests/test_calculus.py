@@ -18,6 +18,7 @@ from vietamat.calculus import (
 )
 from vietamat.exactdet import det_bareiss
 from vietamat.matio import matrix_to_json
+from vietamat.rational import RationalParseError
 from vietamat.structmat import ExactMatrix, build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
 from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
 
@@ -59,21 +60,19 @@ def poly_derivative(p: DensePolynomial, order: int = 1) -> DensePolynomial:
 
 def test_nodal_basis_examples():
     basis = nodal_basis(NodeSet((1, 2, 3)))
-    assert basis[0].coefficients == (6, -5, 1)
-    assert basis[1].coefficients == (3, -4, 1)
-    assert basis[2].coefficients == (2, -3, 1)
+    assert basis == (DensePolynomial.of(6, -5, 1), DensePolynomial.of(3, -4, 1), DensePolynomial.of(2, -3, 1))
 
 
 def test_nodal_basis_single_node():
     basis = nodal_basis(NodeSet((Fraction(9, 4),)))
     assert len(basis) == 1
-    assert basis[0].coefficients == (1,)
+    assert basis[0] == DensePolynomial.of(1)
 
 
 def test_nodal_basis_two_nodes():
     basis = nodal_basis(NodeSet((0, 1)))
-    assert basis[0].coefficients == (-1, 1)  # x - 1
-    assert basis[1].coefficients == (0, 1)  # x
+    assert basis[0] == DensePolynomial.of(-1, 1)  # x - 1
+    assert basis[1] == DensePolynomial.of(0, 1)  # x
 
 
 def test_nodal_basis_rejects_empty():
@@ -83,8 +82,8 @@ def test_nodal_basis_rejects_empty():
 
 def test_poly_derivative():
     p = DensePolynomial.of(6, -5, 1)
-    assert poly_derivative(p).coefficients == (-5, 2)
-    assert poly_derivative(DensePolynomial.of(0, 0, 1), 2).coefficients == (2,)
+    assert poly_derivative(p) == DensePolynomial.of(-5, 2)
+    assert poly_derivative(DensePolynomial.of(0, 0, 1), 2) == DensePolynomial.of(2)
     assert poly_derivative(DensePolynomial.of(0, 0, 1), 3) == DensePolynomial((), 1)
     assert poly_derivative(p, 0) == p
     with pytest.raises(ValueError):
@@ -94,13 +93,26 @@ def test_poly_derivative():
 def test_wronskian_matrix_examples():
     basis = nodal_basis(NodeSet((1, 2, 3)))
     m = wronskian_matrix(basis, Fraction(0))
-    assert m.entries == ((6, 3, 2), (-5, -4, -3), (2, 2, 2))
+    assert m == ExactMatrix.from_rows(((6, 3, 2), (-5, -4, -3), (2, 2, 2)))
 
     single = wronskian_matrix(nodal_basis(NodeSet((4,))), Fraction(17, 5))
-    assert single.entries == ((1,),)
+    assert single == ExactMatrix.from_rows(((1,),))
 
     m01 = wronskian_matrix(nodal_basis(NodeSet((0, 1))), Fraction(0))
-    assert m01.entries == ((-1, 0), (1, 1))
+    assert m01 == ExactMatrix.from_rows(((-1, 0), (1, 1)))
+
+
+def test_wronskian_point_is_read_by_the_wire_grammar():
+    """The point goes through `as_fraction`, as every node does: a float
+    raises TypeError, text that `--at` refuses raises RationalParseError,
+    and wire text or an int builds the matrix at the same rational."""
+    basis = nodal_basis(NodeSet((1, 2)))
+    with pytest.raises(TypeError, match="float"):
+        wronskian_matrix(basis, 0.1)
+    with pytest.raises(RationalParseError):
+        wronskian_matrix(basis, " 1.5 ")
+    assert wronskian_matrix(basis, "3/2") == wronskian_matrix(basis, Fraction(3, 2))
+    assert wronskian_matrix(basis, -2) == wronskian_matrix(basis, Fraction(-2))
 
 
 def test_wronskian_closed_examples():
@@ -117,10 +129,10 @@ def test_wronskian_matrix_det_matches_closed_at_zero():
 
 def test_jacobian_examples():
     m = jacobian_matrix(NodeSet((1, 2, 3)))
-    assert m.entries == ((1, 1, 1), (5, 4, 3), (6, 3, 2))
+    assert m == ExactMatrix.from_rows(((1, 1, 1), (5, 4, 3), (6, 3, 2)))
     x1, x2 = Fraction(3, 4), Fraction(-1, 6)
-    assert jacobian_matrix(NodeSet((x1, x2))).entries == ((1, 1), (x2, x1))
-    assert jacobian_matrix(NodeSet((5,))).entries == ((1,),)
+    assert jacobian_matrix(NodeSet((x1, x2))) == ExactMatrix.from_rows(((1, 1), (x2, x1)))
+    assert jacobian_matrix(NodeSet((5,))) == ExactMatrix.from_rows(((1,),))
 
 
 def test_jacobian_det_examples():
@@ -177,7 +189,7 @@ def test_wronskian_matrix_matches_derivatives(polys, x0):
     """Any family, any degree (zero, below n - 1, n and above), at 0 or rational x0."""
     n = len(polys)
     m = wronskian_matrix(polys, x0)
-    assert m.entries == tuple(tuple(poly_derivative(p, r)(x0) for p in polys) for r in range(n))
+    assert m == ExactMatrix.from_rows([poly_derivative(p, r)(x0) for p in polys] for r in range(n))
 
 
 @pytest.mark.parametrize(
@@ -327,7 +339,7 @@ def test_equality_builds_no_fraction(monkeypatch):
 def test_jacobian_equals_vieta_and_closed(values):
     point = NodeSet(values)
     m = jacobian_matrix(point)
-    assert m.entries == build_vieta(point).entries
+    assert m == build_vieta(point)
     assert det_bareiss(m) == jacobian_det_closed(point) == vieta_det_closed(point)
 
 
@@ -347,7 +359,7 @@ def test_partials_match_symmetric_difference_quotient(values):
         e_plus = elem_sym_all(NodeSet(plus))
         e_minus = elem_sym_all(NodeSet(minus))
         for r in range(1, n + 1):
-            assert (e_plus[r] - e_minus[r]) / (2 * h) == m.entries[r - 1][c]
+            assert (e_plus[r] - e_minus[r]) / (2 * h) * m.denominators[c] == m.numerators[r - 1][c]
 
 
 def _naive_e(values, k):
@@ -383,11 +395,10 @@ NAIVE_ENTRIES = {
 @settings(max_examples=40)
 @given(values=pooled_points, x0=rationals)
 def test_builders_match_naive_fractions(kind, values, x0):
-    """Every builder's stored ints, read as canonical Fractions, equal the
-    definition computed in Fractions: n = 1, repeated and zero nodes."""
+    """Every builder's matrix equals the definition computed in Fractions:
+    n = 1, repeated and zero nodes."""
     ns = NodeSet(values)
     n = len(values)
     build, _ = KINDS[kind]
-    entries = build(ns, x0).entries
-    assert all(type(e) is Fraction for row in entries for e in row)
-    assert entries == tuple(tuple(NAIVE_ENTRIES[kind](ns, r, j, x0) for j in range(n)) for r in range(n))
+    naive = ExactMatrix.from_rows([NAIVE_ENTRIES[kind](ns, r, j, x0) for j in range(n)] for r in range(n))
+    assert build(ns, x0) == naive

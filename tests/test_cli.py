@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from vietamat import calculus, exactdet
+from vietamat import calculus, exactdet, structmat, sympoly
 from vietamat.cli import main
 from vietamat.verify import IDENTITIES
 
@@ -340,6 +340,56 @@ def test_build_output_is_pinned(capsys, kind, fmt, at):
     code, out, _ = run(capsys, "build", kind, BUILD_NODES, "--format", fmt, f"--at={at}")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BUILD_PINS[kind, fmt, at]
+
+
+# Every command once: build of each kind in both formats, det of each kind
+# by each method on five rational nodes and on a repeated node, both
+# shorthands, bench and verify.
+VIEW_FREE_COMMANDS = [
+    *(
+        ("build", kind, "--nodes=1/2,-3,5/7,0,-2/9", "--format", fmt, "--at=-2/3")
+        for kind in sorted(calculus.KINDS)
+        for fmt in ("json", "csv")
+    ),
+    *(
+        ("det", kind, f"--nodes={nodes}", "--method", method, "--at=-2/3")
+        for kind in sorted(calculus.KINDS)
+        for method in ("closed", "bareiss", "laplace")
+        for nodes in ("1/2,-3,5/7,2,-1/4", "4,-1/2,4")
+    ),
+    ("wronskian", "--nodes=1/2,-3,5/7", "--at=-2/3"),
+    ("jacobian", "--nodes=1/2,-3,5/7"),
+    ("bench", "--n", "4,8", "--methods", "closed,bareiss,laplace"),
+    ("verify", "--suite", "all", "--trials", "3"),
+]
+
+
+def _untimed(argv, out):
+    """stdout without bench's wall-time column, the one that varies."""
+    if argv[0] != "bench":
+        return out
+    return "".join(",".join(line.split(",")[i] for i in (0, 1, 2, 4)) + "\n" for line in out.splitlines())
+
+
+def _no_view(*args):
+    raise AssertionError("a Fraction view was read")
+
+
+def test_no_command_reads_a_fraction_view(capsys, monkeypatch):
+    """With `ExactMatrix.entries` and `leave_one_out_table` raising, every
+    command exits 0 and prints what it prints with them: the library reads
+    only the stored ints."""
+    expected = []
+    for argv in VIEW_FREE_COMMANDS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        expected.append(_untimed(argv, out))
+    # raising=False: the guard still holds once a view is deleted
+    monkeypatch.setattr(structmat.ExactMatrix, "entries", property(_no_view), raising=False)
+    monkeypatch.setattr(sympoly, "leave_one_out_table", _no_view, raising=False)
+    for argv, want in zip(VIEW_FREE_COMMANDS, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, _untimed(argv, out)) == (0, want), (argv, err)
 
 
 def test_no_command_is_input_error(capsys):

@@ -9,6 +9,7 @@ from vietamat.sympoly import (
     DensePolynomial,
     NodeSet,
     elem_sym_all,
+    leave_one_out_scaled,
     leave_one_out_table,
     poly_from_roots,
 )
@@ -72,32 +73,44 @@ def test_elem_sym_examples():
 
 
 def test_table_examples():
-    table = leave_one_out_table(NodeSet((1, 2, 3)))
-    assert table == ((1, 1, 1), (5, 4, 3), (6, 3, 2))
+    columns, denominators = leave_one_out_scaled(NodeSet((1, 2, 3)))
+    assert columns == [[1, 5, 6], [1, 4, 3], [1, 3, 2]] and denominators == [1, 1, 1]
 
 
 def test_table_single_node():
-    table = leave_one_out_table(NodeSet((Fraction(7, 3),)))
-    assert table == ((Fraction(1),),)
+    columns, denominators = leave_one_out_scaled(NodeSet((Fraction(7, 3),)))
+    assert columns == [[1]] and denominators == [1]
 
 
 def test_table_two_zeros_zero_last_row():
-    table = leave_one_out_table(NodeSet((0, 0, 5)))
-    assert table[2] == (0, 0, 0)
+    columns, _ = leave_one_out_scaled(NodeSet((0, 0, 5)))
+    assert [column[2] for column in columns] == [0, 0, 0]
+
+
+@example(values=[Fraction(0)])
+@example(values=[Fraction(-2, 3), Fraction(7, 4), Fraction(-2, 3)])
+@given(values=pooled_node_lists)
+def test_table_view_is_the_scaled_columns_over_their_denominators(values):
+    """`leave_one_out_table`, the Fraction view, reads entry [k][j] as
+    columns[j][k] / denominators[j] of `leave_one_out_scaled`."""
+    ns = NodeSet(values)
+    columns, denominators = leave_one_out_scaled(ns)
+    table = leave_one_out_table(ns)
+    assert table == tuple(tuple(Fraction(c[k], d) for c, d in zip(columns, denominators)) for k in range(len(ns)))
 
 
 def test_poly_from_roots_examples():
-    assert poly_from_roots(NodeSet((1, 2))).coefficients == (2, -3, 1)
-    assert poly_from_roots(NodeSet((0,))).coefficients == (0, 1)
-    assert poly_from_roots(NodeSet((1, 2, 3))).coefficients == (-6, 11, -6, 1)
+    assert poly_from_roots(NodeSet((1, 2))) == DensePolynomial.of(2, -3, 1)
+    assert poly_from_roots(NodeSet((0,))) == DensePolynomial.of(0, 1)
+    assert poly_from_roots(NodeSet((1, 2, 3))) == DensePolynomial.of(-6, 11, -6, 1)
 
 
 def test_poly_from_roots_empty_product():
-    assert poly_from_roots(()).coefficients == (1,)
+    assert poly_from_roots(()) == DensePolynomial.of(1)
 
 
 def test_polynomial_trims_and_degrees():
-    assert DensePolynomial.of(1, 2, 0, 0).coefficients == (1, 2)
+    assert DensePolynomial.of(1, 2, 0, 0).numerators == (1, 2)
     assert DensePolynomial.of(0) == DensePolynomial((), 1)
     assert len(DensePolynomial((), 1).numerators) == 0
     assert len(DensePolynomial.of(3).numerators) == 1
@@ -109,10 +122,10 @@ def test_scaled_polynomial_equals_its_fraction_twin():
     assert p == twin == DensePolynomial.of("1/2", "-1", "6/4", 0)
     with pytest.raises(TypeError):
         hash(p)
-    assert p.coefficients == twin.coefficients == (Fraction(1, 2), -1, Fraction(3, 2))
-    assert p.numerators == (2, -4, 6)
+    assert (p.numerators, p.denominator) == ((2, -4, 6), 4)
+    assert (twin.numerators, twin.denominator) == ((1, -2, 3), 2)
     assert DensePolynomial([0, 0], 7) == DensePolynomial((), 1)
-    assert DensePolynomial([0, 0], 7).coefficients == ()
+    assert DensePolynomial([0, 0], 7).numerators == ()
     assert p != DensePolynomial([2, -4, 6], 3)
 
 
@@ -148,9 +161,9 @@ def test_polynomial_evaluate():
 
 def test_polynomial_multiplication():
     p = DensePolynomial.of(-1, 1) * DensePolynomial.of(-2, 1)
-    assert p.coefficients == (2, -3, 1)
+    assert p == DensePolynomial.of(2, -3, 1)
     assert DensePolynomial((), 1) * p == p * DensePolynomial((), 1) == DensePolynomial((), 1)
-    assert (DensePolynomial((), 1) * DensePolynomial((), 1)).coefficients == ()
+    assert (DensePolynomial((), 1) * DensePolynomial((), 1)).numerators == ()
     with pytest.raises(TypeError):
         2 * p
     with pytest.raises(TypeError):
@@ -169,11 +182,11 @@ def test_elem_sym_matches_bruteforce(values):
 @given(values=node_lists)
 def test_table_matches_bruteforce(values):
     ns = NodeSet(values)
-    table = leave_one_out_table(ns)
+    columns, denominators = leave_one_out_scaled(ns)
     for j in range(len(values)):
         rest = ns[:j] + ns[j + 1:]
         for k in range(len(values)):
-            assert table[k][j] == esp_bruteforce(rest, k)
+            assert columns[j][k] == denominators[j] * esp_bruteforce(rest, k)
 
 
 @example(values=[Fraction(0)])
@@ -184,11 +197,11 @@ def test_table_columns_match_elem_sym_of_rest(values):
     """Column j is e_0..e_{n-1} of the other nodes, by the definitional recurrence."""
     ns = NodeSet(values)
     n = len(values)
-    columns = list(zip(*leave_one_out_table(ns)))
+    columns, denominators = leave_one_out_scaled(ns)
     for j in range(n):
         rest = ns[:j] + ns[j + 1:]
-        expected = tuple(elem_sym_all(NodeSet(rest))[:n]) if rest else (Fraction(1),)
-        assert columns[j] == expected
+        expected = elem_sym_all(NodeSet(rest))[:n] if rest else [1]
+        assert columns[j] == [denominators[j] * e for e in expected]
 
 
 @given(values=node_lists)
@@ -201,7 +214,7 @@ def test_sign_coefficient_duality(values):
     assert len(poly.numerators) == n + 1
     for k in range(n + 1):
         expected = e[k] if k % 2 == 0 else -e[k]
-        assert poly.coefficients[n - k] == expected
+        assert poly.numerators[n - k] == poly.denominator * expected
 
 
 @given(values=st.lists(rationals, min_size=1, max_size=6, unique=True))
@@ -209,14 +222,11 @@ def test_recombination(values):
     """Column j as a monic polynomial times (x - a_j) rebuilds the full product."""
     ns = NodeSet(values)
     n = len(values)
-    table = leave_one_out_table(ns)
+    columns, denominators = leave_one_out_scaled(ns)
     full = poly_from_roots(ns)
     for j in range(n):
-        coeffs = [Fraction(0)] * n
-        for k in range(n):
-            value = table[k][j]
-            coeffs[n - 1 - k] = -value if k % 2 else value
-        column_poly = DensePolynomial.of(*coeffs)
+        signed = [-c if k % 2 else c for k, c in enumerate(columns[j])]
+        column_poly = DensePolynomial(signed[::-1], denominators[j])
         assert column_poly * DensePolynomial.of(-values[j], 1) == full
 
 
@@ -227,7 +237,7 @@ def test_permutation_equivariance(values, data):
     sigma = data.draw(st.permutations(range(n)))
     permuted = NodeSet(values[sigma[j]] for j in range(n))
     assert elem_sym_all(permuted) == elem_sym_all(ns)
-    columns = list(zip(*leave_one_out_table(ns)))
-    permuted_columns = list(zip(*leave_one_out_table(permuted)))
+    columns, denominators = leave_one_out_scaled(ns)
+    permuted_columns, permuted_denominators = leave_one_out_scaled(permuted)
     for j in range(n):
-        assert permuted_columns[j] == columns[sigma[j]]
+        assert permuted_columns[j] == columns[sigma[j]] and permuted_denominators[j] == denominators[sigma[j]]

@@ -1,5 +1,6 @@
 import builtins
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -148,11 +149,21 @@ def test_sign_bridge_sees_a_wrong_power_matrix(monkeypatch):
     itself, so every size n = 2, 3 (mod 4) with distinct nodes fails."""
 
     def reversed_rows(ns, at):
-        return structmat.ExactMatrix.from_rows(structmat.build_vandermonde(ns).entries[::-1])
+        m = structmat.build_vandermonde(ns)
+        return structmat.ExactMatrix(m.numerators[::-1], m.denominators)
 
     monkeypatch.setitem(calculus.KINDS, "vandermonde", (reversed_rows, structmat.vandermonde_det_closed))
     report = run_identity("sign_bridge", 100, 0, VerifyConfig())
     assert report.failures > 0
+
+
+def test_permutation_compares_the_root_products_ints(monkeypatch):
+    """A root product that also records the first node depends on the
+    nodes' order.  Planted only where verify reads it, so the build's
+    kernel in `sympoly` is untouched, it makes `permutation` fail."""
+    real = verify.scaled_product
+    monkeypatch.setattr(verify, "scaled_product", lambda values: real(values) + [values[0]])
+    assert run_identity("permutation", 30, 0, VerifyConfig(3, 6, 50)).failures > 0
 
 
 def test_wronskian_compares_the_kinds_build_with_the_taylor_route(monkeypatch):
@@ -319,7 +330,10 @@ def _last_row_is_row_0(ns, at):
 
 
 def _transposed(ns, at):
-    return structmat.ExactMatrix.from_rows(zip(*structmat.build_vieta(ns).entries))
+    m = structmat.build_vieta(ns)
+    scale = math.lcm(*m.denominators)
+    cleared = [[e * (scale // d) for e, d in zip(row, m.denominators)] for row in m.numerators]
+    return structmat.ExactMatrix(zip(*cleared), [scale] * len(cleared))
 
 
 def _rotated_basis(ns):
