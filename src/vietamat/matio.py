@@ -66,7 +66,7 @@ def load_nodes_file(path: str | Path) -> NodeSet:
         raise NodesFileError(f'node file {path}: "nodes" must be a non-empty array')
     if not all(isinstance(v, str) for v in values):
         raise NodesFileError(f'node file {path}: nodes must be rational strings, not numbers')
-    return NodeSet(parse_rational(v) for v in values)
+    return NodeSet(values)
 
 
 def serialize_nodes(ns: NodeSet) -> tuple[str, ...]:
@@ -80,16 +80,16 @@ def matrix_to_json(m: ExactMatrix) -> str:
     Joined by hand: every entry is `[-0-9/]` only, so no character needs
     escaping and the text is what `json.dumps` would give.
     """
-    return "[" + ", ".join('["' + '", "'.join(row) + '"]' for row in _rendered_rows(m)) + "]"
+    return "[" + ", ".join('["' + '", "'.join(row) + '"]' for row in rendered_rows(m)) + "]"
 
 
 def matrix_to_csv(m: ExactMatrix) -> str:
     """Matrix as CSV: one row per line, no trailing comma."""
-    return "".join(",".join(row) + "\n" for row in _rendered_rows(m))
+    return "".join(",".join(row) + "\n" for row in rendered_rows(m))
 
 
-def _rendered_rows(m: ExactMatrix) -> list[list[str]]:
-    # Straight from the stored ints: one gcd per entry, no Fraction.
+def rendered_rows(m: ExactMatrix) -> list[list[str]]:
+    """The entries' wire text in rows, from the stored ints: one gcd per entry, no Fraction."""
     denominators = m.denominators
     return [[render_ratio(e, d) for e, d in zip(row, denominators)] for row in m.numerators]
 
@@ -114,6 +114,6 @@ def matrix_from_csv(text: str) -> ExactMatrix:
     if not lines:
         raise MatrixFormatError("matrix CSV is empty")
     try:
-        return ExactMatrix.from_rows(tuple(tuple(parse_rational(e) for e in line.split(",")) for line in lines))
+        return ExactMatrix.from_rows(line.split(",") for line in lines)
     except ValueError as exc:
         raise MatrixFormatError(f"matrix CSV entries are malformed: {exc}") from None

@@ -53,10 +53,10 @@ def parse_rational(text: str) -> Fraction:
 def as_fraction(value: Fraction | int | str) -> Fraction:
     """`value` as a Fraction: a Fraction as it stands, an int exactly, and
     a str through `parse_rational`, so text has the CLI's one grammar.
-    Anything else, a float included, raises TypeError."""
+    Anything else, a float or a bool included, raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

@@ -20,13 +20,13 @@ class NodeSet(tuple):
     """Ordered rational nodes; at least one node, duplicates allowed.
 
     A tuple of `Fraction`s, equal to the plain tuple of its nodes;
-    `NodeSet(nodes)` converts each value that is not one by `as_fraction`.
+    `NodeSet(nodes)` reads every value through `as_fraction`.
     """
 
     __slots__ = ()
 
     def __new__(cls, nodes: Iterable[Fraction]):
-        self = super().__new__(cls, (v if type(v) is Fraction else as_fraction(v) for v in nodes))
+        self = super().__new__(cls, map(as_fraction, nodes))
         if not self:
             raise ValueError("a node set needs at least one node")
         return self

@@ -33,8 +33,8 @@ from typing import NamedTuple
 from .bench import random_rational, trial_rng
 from .calculus import KINDS, nodal_basis, wronskian_matrix
 from .exactdet import ORACLES
-from .matio import serialize_nodes
-from .rational import parse_rational, render_ratio, render_rational
+from .matio import rendered_rows, serialize_nodes
+from .rational import parse_rational, render_rational
 from .structmat import ExactMatrix, shift_nodes, vieta_extension_poly
 from .sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots, scaled_product
 
@@ -119,11 +119,6 @@ def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
 def _reorder_columns(matrix: ExactMatrix, order) -> ExactMatrix:
     """Column k of the result is column order[k] of `matrix`, denominator and all."""
     return ExactMatrix(([row[c] for c in order] for row in matrix.numerators), [matrix.denominators[c] for c in order])
-
-
-def _render_entries(matrix: ExactMatrix) -> tuple[str, ...]:
-    """The entries' wire text, row-major, rendered from the stored ints."""
-    return tuple(render_ratio(e, d) for row in matrix.numerators for e, d in zip(row, matrix.denominators))
 
 
 def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
@@ -301,7 +296,9 @@ def _check_oracle_agreement(rng, cfg):
     smallest reach.  Counterexamples serialize the entries row-major."""
     n = _random_size(rng, cfg, cap=_smallest_reach())
     matrix = _random_matrix(rng, n, cfg.coeff_bound)
-    return _render_entries(matrix) if len({det(matrix) for det, _ in ORACLES.values()}) > 1 else None
+    if len({det(matrix) for det, _ in ORACLES.values()}) == 1:
+        return None
+    return tuple(itertools.chain.from_iterable(rendered_rows(matrix)))
 
 
 def _check_multilinearity(rng, cfg):
@@ -326,7 +323,7 @@ def _check_multilinearity(rng, cfg):
     for det, _ in ORACLES.values():
         base = det(matrix)
         if det(scaled) != s * base or det(swapped) != -base or det(eye) != 1 or det(duplicated) != 0:
-            return _render_entries(matrix)
+            return tuple(itertools.chain.from_iterable(rendered_rows(matrix)))
     return None
 
 

@@ -256,7 +256,7 @@ MUTANTS = (
     Mutant(
         "nodeset-no-coerce",
         "sympoly.py",
-        "(v if type(v) is Fraction else as_fraction(v) for v in nodes)",
+        "map(as_fraction, nodes)",
         "nodes",
         ("tests/test_sympoly.py::test_node_set_is_an_immutable_value",),
     ),
@@ -327,6 +327,17 @@ MUTANTS = (
             "tests/test_rational.py::test_parse_canonicalizes",
             "tests/test_rational.py::test_parse_hands_fraction_only_ints",
             "tests/test_rational.py::test_roundtrip",
+        ),
+    ),
+    Mutant(
+        "as-fraction-bool",
+        "rational.py",
+        "if type(value) is int:",
+        "if isinstance(value, int):",
+        (
+            "tests/test_rational.py::test_as_fraction_is_the_wire_grammar",
+            "tests/test_rational.py::test_value_constructors_read_rationals_through_as_fraction",
+            "tests/test_calculus.py::test_wronskian_point_is_read_by_the_wire_grammar",
         ),
     ),
     Mutant(

@@ -103,12 +103,14 @@ def test_wronskian_matrix_examples():
 
 
 def test_wronskian_point_is_read_by_the_wire_grammar():
-    """The point goes through `as_fraction`, as every node does: a float
-    raises TypeError, text that `--at` refuses raises RationalParseError,
-    and wire text or an int builds the matrix at the same rational."""
+    """The point goes through `as_fraction`, as every node does: a float or
+    a bool raises TypeError, text that `--at` refuses raises
+    RationalParseError, and wire text or an int builds the matrix at the
+    same rational."""
     basis = nodal_basis(NodeSet((1, 2)))
-    with pytest.raises(TypeError, match="float"):
-        wronskian_matrix(basis, 0.1)
+    for x0 in (0.1, True):
+        with pytest.raises(TypeError, match=type(x0).__name__):
+            wronskian_matrix(basis, x0)
     with pytest.raises(RationalParseError):
         wronskian_matrix(basis, " 1.5 ")
     assert wronskian_matrix(basis, "3/2") == wronskian_matrix(basis, Fraction(3, 2))

@@ -23,11 +23,17 @@ def test_det_closed(capsys):
 
 
 def test_det_all_methods_agree(capsys):
-    expected = {"vieta": "-2\n", "vandermonde": "2\n", "wronskian": "-4\n", "jacobian": "-2\n"}
-    for kind, want in expected.items():
+    # on integer, rational and repeated nodes; vandermonde carries the n = 3 orientation sign
+    expected = {
+        "vieta": ("-2\n", "39/14\n"),
+        "vandermonde": ("2\n", "-39/14\n"),
+        "wronskian": ("-4\n", "39/7\n"),
+        "jacobian": ("-2\n", "39/14\n"),
+    }
+    for kind, (integer, rational) in expected.items():
         for method in ("closed", "laplace", "bareiss"):
-            for nodes, out_want in (("1,2,3", want), ("4,-1/2,4", "0\n")):
-                code, out, _ = run(capsys, "det", kind, "--nodes", nodes, "--method", method, "--at=-2/7")
+            for nodes, out_want in (("1,2,3", integer), ("1/2,-3,5/7", rational), ("4,-1/2,4", "0\n")):
+                code, out, _ = run(capsys, "det", kind, f"--nodes={nodes}", "--method", method, "--at=-2/7")
                 assert (code, out) == (0, out_want), (kind, method, nodes)
 
 
@@ -58,6 +64,8 @@ def test_build_csv(capsys):
     code, out, _ = run(capsys, "build", "vieta", "--nodes", "1,2,3", "--format", "csv")
     assert code == 0
     assert out == "1,1,1\n5,4,3\n6,3,2\n"
+    code, out, _ = run(capsys, "build", "vandermonde", "--nodes=1,2,-1/3", "--format", "csv")
+    assert (code, out) == (0, "1,1,1\n1,2,-1/3\n1,4,1/9\n")
 
 
 def test_build_json_single_node(capsys):
@@ -76,6 +84,8 @@ def test_build_wronskian_at_changes_matrix(capsys):
     _, at_zero, _ = run(capsys, "build", "wronskian", "--nodes", "1,2,3", "--at", "0")
     _, at_one, _ = run(capsys, "build", "wronskian", "--nodes", "1,2,3", "--at", "1")
     assert at_zero != at_one
+    code, out, _ = run(capsys, "build", "wronskian", "--nodes=1,-1/2,0", "--at=2/3")
+    assert (code, out) == (0, '[["7/9", "-2/9", "-7/18"], ["11/6", "1/3", "5/6"], ["2", "2", "2"]]\n')
 
 
 def test_wronskian_alias(capsys):
@@ -137,6 +147,16 @@ def test_missing_nodes_file_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+# Eight rational nodes, the guard's size: Laplace gives each kind's closed value.
+EIGHT_NODES = "1/2,-3,5/7,2,-1/4,3/5,7,-2"
+EIGHT_NODE_DETS = {
+    "vieta": "11910048048206451/19208000\n",
+    "vandermonde": "11910048048206451/19208000\n",
+    "wronskian": "26672409683381768537088/343\n",
+    "jacobian": "11910048048206451/19208000\n",
+}
+
+
 def test_laplace_guard_exit_code(capsys, monkeypatch):
     # the guard is fixed at 8x8: VIETA_LAPLACE_MAX, set or not, changes nothing
     nodes = ",".join(str(i) for i in range(1, 10))  # 9 nodes
@@ -150,6 +170,12 @@ def test_laplace_guard_exit_code(capsys, monkeypatch):
         assert "8x8" in err
         code, out, _ = run(capsys, "det", "vieta", "--nodes", "1,2,3", "--method", "laplace")
         assert (code, out) == (0, "-2\n"), raw
+        for kind, want in EIGHT_NODE_DETS.items():
+            for method in ("closed", "laplace"):
+                code, out, _ = run(capsys, "det", kind, f"--nodes={EIGHT_NODES}", "--at=-2/3", "--method", method)
+                assert (code, out) == (0, want), (raw, kind, method)
+            code, out, _ = run(capsys, "det", kind, f"--nodes={EIGHT_NODES},9", "--at=-2/3", "--method", "laplace")
+            assert (code, out) == (3, ""), (raw, kind)
 
 
 def test_out_into_missing_directory_is_input_error(capsys, tmp_path):
@@ -185,6 +211,21 @@ def test_verify_runs_every_identity_at_coeff_bound_1(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
     assert [(r["identity"], r["failures"]) for r in reports] == [(name, 0) for name in IDENTITIES]
+
+
+def test_verify_above_laplace_reach_passes(capsys):
+    """At n = 9..10 every identity that draws a size passes: oracle_agreement
+    and multilinearity clamp n to Laplace's reach (8), where both oracles
+    run; the others run above it with Bareiss alone, and permutation, which
+    runs no oracle, compares the vieta build there."""
+    suite = (
+        "theorem1,corollary1,sign_bridge,antisymmetry,extension,degenerate,"
+        "recombination,permutation,wronskian,jacobian,oracle_agreement,multilinearity"
+    )
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "9..10", "--trials", "5")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["identity"], r["failures"]) for r in reports] == [(name, 0) for name in suite.split(",")]
 
 
 def test_verify_repeat_is_byte_identical(capsys):

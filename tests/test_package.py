@@ -38,6 +38,19 @@ def test_det_and_build_load_neither_verify_nor_bench(tmp_path):
     assert result.stdout.splitlines()[-1] == "[] ['json']"
 
 
+def test_verify_loads_no_dataclasses():
+    """`verify` keeps its cold start: running it imports no dataclasses."""
+    probe = (
+        "import sys\n"
+        "from vietamat.cli import main\n"
+        "assert main(['verify', '--suite', 'roundtrip', '--trials', '1']) == 0\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_bench_loads_neither_verify_nor_json():
     """`bench` draws its node sets with its own seeded helpers, so it
     loads neither verify nor the json module verify needs."""

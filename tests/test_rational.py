@@ -137,7 +137,8 @@ def test_render_ratio_reduces():
 
 def test_as_fraction_is_the_wire_grammar():
     """Fractions pass as they stand, ints convert exactly, text parses as
-    the CLI parses it, and nothing else is a rational."""
+    the CLI parses it, and nothing else is a rational: a bool is no int
+    here, as in the integer constructors."""
     half = Fraction(1, 2)
     assert as_fraction(half) is half
     assert as_fraction(-7) == -7 and type(as_fraction(-7)) is Fraction
@@ -145,7 +146,7 @@ def test_as_fraction_is_the_wire_grammar():
     for text in ("1.5", " 2 ", "1_0", "1e3", ""):
         with pytest.raises(RationalParseError):
             as_fraction(text)
-    for value in (0.1, Decimal("2"), None, b"1"):
+    for value in (0.1, Decimal("2"), None, b"1", True, False):
         with pytest.raises(TypeError, match=type(value).__name__):
             as_fraction(value)
 
@@ -156,10 +157,12 @@ def test_as_fraction_is_the_wire_grammar():
     ids=["NodeSet", "DensePolynomial.of", "ExactMatrix.from_rows"],
 )
 def test_value_constructors_read_rationals_through_as_fraction(make):
-    """Each value constructor takes text in the CLI's grammar and no float."""
+    """Each value constructor takes text in the CLI's grammar, and no float
+    or bool."""
     assert make(["-6/4"]) == make([Fraction(-3, 2)])
     for text in ("1.5", " 2 ", "1_0", "1e3"):
         with pytest.raises(RationalParseError):
             make([text])
-    with pytest.raises(TypeError, match="float"):
-        make([0.1])
+    for value in (0.1, True, False):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            make([value])
