@@ -1,4 +1,4 @@
-"""Wire formats for node lists and matrices.
+"""Wire formats: node lists are read, matrices are written.
 
 Rationals always travel as canonical strings, never as binary floats.
 
@@ -7,8 +7,9 @@ Rationals always travel as canonical strings, never as binary floats.
 - matrix JSON:   array of arrays of rational strings
 - matrix CSV:    one row per line, comma-separated, newline "\\n"
 
-JSON and CSV renderings of the same matrix parse back to identical
-values; parse errors report the offending position.
+Node parse errors report the offending position.  The JSON and CSV
+renderings of a matrix carry the same canonical entries, so any reader
+of the wire syntax parses both back to identical values.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .sympoly import NodeSet
 
 class NodesFileError(ValueError):
     """A node file is missing, malformed, or off-schema."""
-
-
-class MatrixFormatError(ValueError):
-    """Serialized matrix text is malformed."""
 
 
 def parse_nodes_text(text: str) -> NodeSet:
@@ -46,8 +43,8 @@ def parse_nodes_text(text: str) -> NodeSet:
 
 def load_nodes_file(path: str | Path) -> NodeSet:
     """Load a JSON node file with schema {"nodes": [rational strings]}."""
-    # Imported here and in matrix_from_json, its only users, so that a
-    # command given inline nodes does not load it.
+    # Imported here, its only user, so that a command given inline nodes
+    # does not load it.
     import json
 
     path = Path(path)
@@ -92,28 +89,3 @@ def rendered_rows(m: ExactMatrix) -> list[list[str]]:
     """The entries' wire text in rows, from the stored ints: one gcd per entry, no Fraction."""
     denominators = m.denominators
     return [[render_ratio(e, d) for e, d in zip(row, denominators)] for row in m.numerators]
-
-
-def matrix_from_json(text: str) -> ExactMatrix:
-    import json
-
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MatrixFormatError(f"matrix JSON is invalid: {exc}") from None
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise MatrixFormatError("matrix JSON must be an array of arrays of rational strings")
-    try:
-        return ExactMatrix.from_rows(tuple(tuple(parse_rational(e) for e in row) for row in data))
-    except (TypeError, ValueError) as exc:
-        raise MatrixFormatError(f"matrix JSON entries are malformed: {exc}") from None
-
-
-def matrix_from_csv(text: str) -> ExactMatrix:
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines:
-        raise MatrixFormatError("matrix CSV is empty")
-    try:
-        return ExactMatrix.from_rows(line.split(",") for line in lines)
-    except ValueError as exc:
-        raise MatrixFormatError(f"matrix CSV entries are malformed: {exc}") from None

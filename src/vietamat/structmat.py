@@ -35,8 +35,7 @@ class ExactMatrix:
     raises ValueError unless the numerators are a square grid of ints and
     there is one int >= 1 per column; `from_rows` takes rows of rationals
     (`as_fraction`) and clears each column to its lcm once.  Both reject any
-    shape but square, so the `matio` JSON/CSV readers reject non-square
-    text too.
+    shape but square.
     """
 
     def __init__(self, numerators: Iterable[Iterable[int]], denominators: Iterable[int]):
@@ -95,7 +94,7 @@ def build_vieta(ns: NodeSet) -> ExactMatrix:
 
 def vieta_det_closed(ns: NodeSet, *, factors: Iterable[int] = ()) -> Fraction:
     """Closed-form determinant of `build_vieta`: prod_{i<k} (a_i - a_k),
-    times the nonzero ints `factors` (none by default).
+    times the ints `factors` (none by default).
 
     With a_i = p_i / q_i and Q = prod_i q_i, the value is the product of
     the cross differences d_ik = p_i q_k - p_k q_i over Q^(n-1).  The
@@ -104,6 +103,7 @@ def vieta_det_closed(ns: NodeSet, *, factors: Iterable[int] = ()) -> Fraction:
     before anything is multiplied and before `factors` is read.  They are
     compared as (p, q) pairs: a Fraction is in lowest terms, so equal
     nodes have equal pairs, and a pair hashes far faster than a Fraction.
+    A zero factor returns 0 when the split reaches it: gcd(0, Q) is Q.
 
     No gcd or division takes the full products.  Each row product
     prod_{k>i} d_ik, and then each of `factors`, splits into a Q-smooth
@@ -125,6 +125,8 @@ def vieta_det_closed(ns: NodeSet, *, factors: Iterable[int] = ()) -> Fraction:
     rows = (prod([p * t - r * s for r, t in pairs[i + 1:]]) for i, (p, s) in enumerate(pairs))
     smooth, coprime = [], []
     for f in chain(rows, factors):
+        if not f:
+            return Fraction(0)
         g = gcd(f, q)
         while g > 1:
             smooth.append(g)

@@ -351,6 +351,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "render-columns-reversed",
+        "matio.py",
+        "zip(row, denominators)",
+        "zip(row, denominators[::-1])",
+        ("tests/test_matio.py::test_cross_format_roundtrip",),
+    ),
+    Mutant(
         "node-file-numbers-ok",
         "matio.py",
         "if not all(isinstance(v, str) for v in values):",

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -212,6 +214,23 @@ def test_repeated_node_skips_the_root_product(monkeypatch):
     ns = NodeSet((3, 1, 3, 5))
     assert vieta_extension_poly(ns) == DensePolynomial((), 1)
     assert vieta_det_closed(ns) == 0
+
+
+def test_zero_factor_at_rational_nodes_returns_zero():
+    """A zero factor shares every prime with Q, so dividing the Q-smooth
+    part out of it never ends.  The call runs in a child under a memory
+    cap and a timeout, so a regression fails instead of stalling."""
+    probe = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from fractions import Fraction\n"
+        "from vietamat.structmat import vieta_det_closed\n"
+        "from vietamat.sympoly import NodeSet\n"
+        "print(vieta_det_closed(NodeSet([Fraction(1, 2), Fraction(1, 3)]), factors=[0]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 @given(values=st.lists(rationals, min_size=2, max_size=8, unique=True), data=st.data())
