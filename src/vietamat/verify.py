@@ -1,8 +1,9 @@
 """Randomized verification of the library's identities.
 
-Every identity is checked on independently generated random inputs.
-Seeding is splittable and documented: trial t of identity I under master
-seed S derives its own RNG from the 64-bit big-endian value of
+Every identity is a pair: `draw(rng, cfg)` makes all of a trial's random
+draws and returns its inputs, and `holds(inputs)` checks them.  Seeding
+is splittable and documented: trial t of identity I under master seed S
+derives its own RNG from the 64-bit big-endian value of
 blake2b("S:I:t", digest_size=8), drawn by `bench.trial_rng`.  Trials are
 therefore order-independent, parallelizable, and bit-exactly
 reproducible for a given seed.
@@ -14,8 +15,9 @@ the config's range, with two caps: leave_one_out's brute-force sums take
 2^n terms, so it caps n at 8; oracle_agreement and multilinearity run
 every oracle, so they cap n at the smallest finite reach in `ORACLES`
 (Laplace's 8 today), read each time they run.  The other identities skip
-an oracle beyond its reach instead.  theorem1 and sign_bridge are one
-check, bound to the kinds "vieta" and "vandermonde" of `KINDS`.
+an oracle beyond its reach instead.  theorem1 and sign_bridge draw the
+same way and share one `holds`, bound to the kinds "vieta" and
+"vandermonde" of `KINDS`.  Tests feed their own inputs to `holds`.
 """
 
 from __future__ import annotations
@@ -101,12 +103,6 @@ def random_node_set(rng: random.Random, cfg: VerifyConfig, *, min_n: int = 1, ca
     return NodeSet(random_rational(rng, cfg.coeff_bound) for _ in range(n))
 
 
-def _random_matrix(rng: random.Random, n: int, bound: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        tuple(tuple(random_rational(rng, bound) for _ in range(n)) for _ in range(n))
-    )
-
-
 def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
     """Two different indices below n, in increasing order."""
     i = rng.randrange(n)
@@ -126,14 +122,16 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
     return sum(map(prod, itertools.combinations(values, k)), Fraction(0))
 
 
-# --- identity checks ------------------------------------------------------
-# Each check draws its inputs from `rng`, returns None on success, and the
-# offending input serialized as rational strings on failure.
+# --- identities -----------------------------------------------------------
+# A trial is holds(draw(rng, cfg)): `draw` makes every random draw, in a
+# fixed order, and returns the inputs; `holds` draws nothing and returns
+# None, or the offending input serialized as rational strings.
+Identity = collections.namedtuple("Identity", "draw holds")
 
 
 def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
     """Every oracle within its reach equals `value` on `matrix`; they run
-    in table order, up to the first that differs.  Draws no random numbers."""
+    in table order, up to the first that differs."""
     n = len(matrix.numerators)
     return all(det(matrix) == value for det, reach in ORACLES.values() if reach is None or n <= reach)
 
@@ -144,33 +142,78 @@ def _smallest_reach() -> int | None:
     return min((reach for _, reach in ORACLES.values() if reach is not None), default=None)
 
 
-def _check_closed_form(kind, rng, cfg):
+def _draw_shift(rng, cfg):
+    return random_node_set(rng, cfg), random_rational(rng, cfg.coeff_bound)
+
+
+def _draw_swap(rng, cfg):
+    """At least two nodes and two different indices, i < j."""
+    ns = random_node_set(rng, cfg, min_n=2)
+    return ns, _index_pair(rng, len(ns))
+
+
+def _draw_degenerate(rng, cfg):
+    """A swap's draws and a coin: True repeats node i at j, False zeros both."""
+    return (*_draw_swap(rng, cfg), rng.random() < 0.5)
+
+
+def _draw_probes(rng, cfg):
+    ns = random_node_set(rng, cfg)
+    return ns, [random_rational(rng, cfg.coeff_bound) for _ in range(3)]
+
+
+def _draw_permutation(rng, cfg):
+    ns = random_node_set(rng, cfg)
+    sigma = list(range(len(ns)))
+    rng.shuffle(sigma)
+    return ns, sigma
+
+
+def _draw_matrix(rng, cfg, min_n=1):
+    """A random matrix no larger than the smallest reach."""
+    n = _random_size(rng, cfg, min_n=min_n, cap=_smallest_reach())
+    return ExactMatrix.from_rows([random_rational(rng, cfg.coeff_bound) for _ in range(n)] for _ in range(n))
+
+
+def _draw_multilinearity(rng, cfg):
+    """A matrix of size 2 or more, a scale s, a row r and two rows i < j."""
+    matrix = _draw_matrix(rng, cfg, min_n=2)
+    n = len(matrix.numerators)
+    return matrix, random_rational(rng, cfg.coeff_bound), rng.randrange(n), _index_pair(rng, n)
+
+
+def _draw_roundtrip(rng, cfg):
+    """Four rationals within the bound, then four with numerators of up to
+    128 bits and denominators of up to 96."""
+    small = [random_rational(rng, cfg.coeff_bound) for _ in range(4)]
+    return small + [Fraction(rng.getrandbits(128) * rng.choice((-1, 1)), rng.getrandbits(96) + 1) for _ in range(4)]
+
+
+def _closed_form(kind, ns):
     """Every oracle within its reach gives the closed form of `KINDS[kind]`
     on its matrix at the default point 0.  For "vieta" this is theorem 1;
     for "vandermonde", (-1)^{n(n-1)/2} times it, the sign between the two
     product orientations."""
-    ns = random_node_set(rng, cfg)
     build, closed = KINDS[kind]
     return None if _oracles_give(closed(ns), build(ns, Fraction(0))) else serialize_nodes(ns)
 
 
-def _check_corollary1(rng, cfg):
+def _corollary1(inputs):
     """Shifting every node by c leaves the closed form unchanged, and every
     oracle within its reach gives it on the shifted nodes' matrix."""
-    ns = random_node_set(rng, cfg)
-    shifted = shift_nodes(ns, random_rational(rng, cfg.coeff_bound))
+    ns, c = inputs
+    shifted = shift_nodes(ns, c)
     build, closed = KINDS["vieta"]
     value = closed(ns)
     holds = closed(shifted) == value and _oracles_give(value, build(shifted, Fraction(0)))
     return None if holds else serialize_nodes(ns)
 
 
-def _check_antisymmetry(rng, cfg):
-    """Swapping two nodes swaps two build columns and negates the closed
+def _antisymmetry(inputs):
+    """Swapping nodes i and j swaps two build columns and negates the closed
     form, which every oracle within its reach gives on the swapped build."""
-    ns = random_node_set(rng, cfg, min_n=2)
+    ns, (i, j) = inputs
     order = list(range(len(ns)))
-    i, j = _index_pair(rng, len(ns))
     order[i], order[j] = j, i
     swapped = NodeSet(ns[c] for c in order)
     build, closed = KINDS["vieta"]
@@ -181,32 +224,30 @@ def _check_antisymmetry(rng, cfg):
     return None if _oracles_give(value, matrix) else serialize_nodes(ns)
 
 
-def _check_extension(rng, cfg):
+def _extension(inputs):
     """Appending a probe node x0 gives the degree-n extension polynomial's
     value f(x0) from every oracle within its reach."""
-    ns = random_node_set(rng, cfg)
+    ns, probes = inputs
     f = vieta_extension_poly(ns)
     build = KINDS["vieta"][0]
-    for _ in range(3):
-        x0 = random_rational(rng, cfg.coeff_bound)
+    for x0 in probes:
         if not _oracles_give(f(x0), build(NodeSet(ns + (x0,)), Fraction(0))):
             return serialize_nodes(ns)
     return None
 
 
-def _check_degenerate(rng, cfg):
-    """Repeated nodes force determinant 0 from the closed form and every
-    oracle within its reach; two zeros zero the last row.  The oracles give
-    0 on the drawn nodes' matrix with column j set to twice column i too;
-    unless the drawn nodes repeat or node j is 0, Bareiss must eliminate."""
-    ns = random_node_set(rng, cfg, min_n=2)
+def _degenerate(inputs):
+    """Repeating node i at j, or zeroing both, forces determinant 0 from the
+    closed form and every oracle within its reach; two zeros zero the last
+    row.  The oracles give 0 on the drawn nodes' matrix with column j set
+    to twice column i too; unless the drawn nodes repeat or node j is 0,
+    Bareiss must eliminate."""
+    ns, (i, j), repeat = inputs
     nodes = list(ns)
-    i, j = _index_pair(rng, len(nodes))
-    if rng.random() < 0.5:
+    if repeat:
         nodes[j] = nodes[i]
     else:
-        nodes[i] = Fraction(0)
-        nodes[j] = Fraction(0)
+        nodes[i] = nodes[j] = Fraction(0)
     degenerate = NodeSet(nodes)
     build, closed = KINDS["vieta"]
     matrix = build(degenerate, Fraction(0))
@@ -224,9 +265,8 @@ def _check_degenerate(rng, cfg):
     return None
 
 
-def _check_recombination(rng, cfg):
+def _recombination(ns):
     """Column j times (x - a_j) rebuilds the full root polynomial."""
-    ns = random_node_set(rng, cfg)
     full = poly_from_roots(ns)
     for poly, a in zip(nodal_basis(ns), ns):
         if poly * DensePolynomial((-a.numerator, a.denominator), a.denominator) != full:
@@ -234,11 +274,9 @@ def _check_recombination(rng, cfg):
     return None
 
 
-def _check_permutation(rng, cfg):
+def _permutation(inputs):
     """Permuting the nodes keeps the root product's ints, so every e_k, and permutes the build's columns."""
-    ns = random_node_set(rng, cfg)
-    sigma = list(range(len(ns)))
-    rng.shuffle(sigma)
+    ns, sigma = inputs
     permuted = NodeSet(ns[c] for c in sigma)
     build = KINDS["vieta"][0]
     matrix = _reorder_columns(build(ns, Fraction(0)), sigma)
@@ -246,34 +284,31 @@ def _check_permutation(rng, cfg):
     return None if holds else serialize_nodes(ns)
 
 
-def _check_leave_one_out(rng, cfg):
+def _leave_one_out(ns):
     """The `KINDS["vieta"]` build equals brute-force sums over k-subsets."""
-    ns = random_node_set(rng, cfg, cap=8)
     n = len(ns)
     sums = ExactMatrix.from_rows([_esp_bruteforce(ns[:j] + ns[j + 1:], k) for j in range(n)] for k in range(n))
     return None if KINDS["vieta"][0](ns, Fraction(0)) == sums else serialize_nodes(ns)
 
 
-def _check_wronskian(rng, cfg):
+def _wronskian(inputs):
     """At each probe point the `KINDS` build equals the Taylor route,
     `wronskian_matrix` of the nodal basis, and its determinant is
     probe-independent and matches the factorial-scaled closed form."""
-    ns = random_node_set(rng, cfg)
+    ns, probes = inputs
     build, closed = KINDS["wronskian"]
     basis = nodal_basis(ns)
     value = closed(ns)
-    for _ in range(3):
-        x0 = random_rational(rng, cfg.coeff_bound)
+    for x0 in probes:
         matrix = build(ns, x0)
         if matrix != wronskian_matrix(basis, x0) or not _oracles_give(value, matrix):
             return serialize_nodes(ns)
     return None
 
 
-def _check_jacobian(rng, cfg):
+def _jacobian(point):
     """Determinant matches the closed form; every partial equals its
     symmetric difference quotient, so the matrix is the e_k grid."""
-    point = random_node_set(rng, cfg)
     build, closed = KINDS["jacobian"]
     matrix = build(point, Fraction(0))
     if not _oracles_give(closed(point), matrix):
@@ -291,25 +326,19 @@ def _check_jacobian(rng, cfg):
     return None
 
 
-def _check_oracle_agreement(rng, cfg):
-    """Every oracle agrees on random matrices, drawn no larger than the
-    smallest reach.  Counterexamples serialize the entries row-major."""
-    n = _random_size(rng, cfg, cap=_smallest_reach())
-    matrix = _random_matrix(rng, n, cfg.coeff_bound)
+def _oracle_agreement(matrix):
+    """Every oracle agrees on the matrix.  Counterexamples serialize the
+    entries row-major."""
     if len({det(matrix) for det, _ in ORACLES.values()}) == 1:
         return None
     return tuple(itertools.chain.from_iterable(rendered_rows(matrix)))
 
 
-def _check_multilinearity(rng, cfg):
-    """Row scaling scales, row swaps negate, det(I) = 1, duplicate rows
-    give 0 — for every oracle, up to the smallest reach.  Counterexamples
-    serialize row-major."""
-    n = _random_size(rng, cfg, min_n=2, cap=_smallest_reach())
-    matrix = _random_matrix(rng, n, cfg.coeff_bound)
-    s = random_rational(rng, cfg.coeff_bound)
-    r = rng.randrange(n)
-    i, j = _index_pair(rng, n)
+def _multilinearity(inputs):
+    """Scaling row r by s scales, swapping rows i and j negates, det(I) = 1,
+    and copying row i over row j gives 0 — for every oracle.
+    Counterexamples serialize row-major."""
+    matrix, s, r, (i, j) = inputs
     rows, d = list(matrix.numerators), matrix.denominators
     scaled = ExactMatrix(
         ([e * (s.numerator if p == r else s.denominator) for e in row] for p, row in enumerate(rows)),
@@ -319,7 +348,7 @@ def _check_multilinearity(rng, cfg):
     swapped = ExactMatrix(rows, d)
     rows[i] = rows[j]
     duplicated = ExactMatrix(rows, d)
-    eye = ExactMatrix(([dq if p == q else 0 for q, dq in enumerate(d)] for p in range(n)), d)
+    eye = ExactMatrix(([dq if p == q else 0 for q, dq in enumerate(d)] for p in range(len(rows))), d)
     for det, _ in ORACLES.values():
         base = det(matrix)
         if det(scaled) != s * base or det(swapped) != -base or det(eye) != 1 or det(duplicated) != 0:
@@ -327,36 +356,29 @@ def _check_multilinearity(rng, cfg):
     return None
 
 
-def _check_roundtrip(rng, cfg):
+def _roundtrip(values):
     """parse(render(r)) is the identity, at small and huge magnitudes."""
-    for _ in range(4):
-        r = random_rational(rng, cfg.coeff_bound)
-        if parse_rational(render_rational(r)) != r:
-            return (render_rational(r),)
-    for _ in range(4):
-        numerator = rng.getrandbits(128) * rng.choice((-1, 1))
-        denominator = rng.getrandbits(96) + 1
-        r = Fraction(numerator, denominator)
+    for r in values:
         if parse_rational(render_rational(r)) != r:
             return (render_rational(r),)
     return None
 
 
 IDENTITIES = {
-    "theorem1": functools.partial(_check_closed_form, "vieta"),
-    "corollary1": _check_corollary1,
-    "sign_bridge": functools.partial(_check_closed_form, "vandermonde"),
-    "antisymmetry": _check_antisymmetry,
-    "extension": _check_extension,
-    "degenerate": _check_degenerate,
-    "recombination": _check_recombination,
-    "permutation": _check_permutation,
-    "leave_one_out": _check_leave_one_out,
-    "wronskian": _check_wronskian,
-    "jacobian": _check_jacobian,
-    "oracle_agreement": _check_oracle_agreement,
-    "multilinearity": _check_multilinearity,
-    "roundtrip": _check_roundtrip,
+    "theorem1": Identity(random_node_set, functools.partial(_closed_form, "vieta")),
+    "corollary1": Identity(_draw_shift, _corollary1),
+    "sign_bridge": Identity(random_node_set, functools.partial(_closed_form, "vandermonde")),
+    "antisymmetry": Identity(_draw_swap, _antisymmetry),
+    "extension": Identity(_draw_probes, _extension),
+    "degenerate": Identity(_draw_degenerate, _degenerate),
+    "recombination": Identity(random_node_set, _recombination),
+    "permutation": Identity(_draw_permutation, _permutation),
+    "leave_one_out": Identity(functools.partial(random_node_set, cap=8), _leave_one_out),
+    "wronskian": Identity(_draw_probes, _wronskian),
+    "jacobian": Identity(random_node_set, _jacobian),
+    "oracle_agreement": Identity(_draw_matrix, _oracle_agreement),
+    "multilinearity": Identity(_draw_multilinearity, _multilinearity),
+    "roundtrip": Identity(_draw_roundtrip, _roundtrip),
 }
 
 
@@ -364,14 +386,12 @@ def _identity(name: str):
     try:
         return IDENTITIES[name]
     except KeyError:
-        raise UnknownIdentityError(
-            f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}"
-        ) from None
+        raise UnknownIdentityError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}") from None
 
 
 def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> VerifyReport:
     """Run one identity's randomized trials and aggregate a report."""
-    check = _identity(name)
+    draw, holds = _identity(name)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not (0 <= seed <= MAX_SEED):
@@ -380,7 +400,7 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
     first_counterexample: tuple[str, ...] | None = None
     start = time.perf_counter()
     for trial in range(trials):
-        counterexample = check(trial_rng(seed, name, trial), cfg)
+        counterexample = holds(draw(trial_rng(seed, name, trial), cfg))
         if counterexample is not None:
             failures += 1
             if first_counterexample is None:

@@ -96,6 +96,8 @@ MUTANTS = (
         (
             "tests/test_verify.py::test_each_identity_passes_briefly[antisymmetry]",
             "tests/test_verify.py::test_each_identity_passes_briefly[permutation]",
+            "tests/test_structmat.py::test_swap_negates_closed_form",
+            "tests/test_sympoly.py::test_permutation_equivariance",
         ),
     ),
     Mutant(
@@ -106,25 +108,35 @@ MUTANTS = (
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",),
     ),
     Mutant(
-        "extension-capped",
+        "probes-capped",
         "verify.py",
-        "ns = random_node_set(rng, cfg)\n    f = vieta_extension_poly(ns)",
-        "ns = random_node_set(rng, cfg, cap=6)\n    f = vieta_extension_poly(ns)",
-        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[extension]",),
-    ),
-    Mutant(
-        "wronskian-capped",
-        "verify.py",
-        'ns = random_node_set(rng, cfg)\n    build, closed = KINDS["wronskian"]',
-        'ns = random_node_set(rng, cfg, cap=6)\n    build, closed = KINDS["wronskian"]',
-        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[wronskian]",),
+        "ns = random_node_set(rng, cfg)\n    return ns, [random_rational",
+        "ns = random_node_set(rng, cfg, cap=6)\n    return ns, [random_rational",
+        (
+            "tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[extension]",
+            "tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[wronskian]",
+        ),
     ),
     Mutant(
         "jacobian-capped",
         "verify.py",
-        'point = random_node_set(rng, cfg)\n    build, closed = KINDS["jacobian"]',
-        'point = random_node_set(rng, cfg, cap=8)\n    build, closed = KINDS["jacobian"]',
+        '"jacobian": Identity(random_node_set, _jacobian)',
+        '"jacobian": Identity(functools.partial(random_node_set, cap=8), _jacobian)',
         ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[jacobian]",),
+    ),
+    Mutant(
+        "probes-drawn-first",
+        "verify.py",
+        "ns = random_node_set(rng, cfg)\n    return ns, [random_rational(rng, cfg.coeff_bound) for _ in range(3)]",
+        "probes = [random_rational(rng, cfg.coeff_bound) for _ in range(3)]\n    return random_node_set(rng, cfg), probes",
+        ("tests/test_cli.py::test_failing_verify_output_is_pinned",),
+    ),
+    Mutant(
+        "roundtrip-sign-drawn-first",
+        "verify.py",
+        "rng.getrandbits(128) * rng.choice((-1, 1))",
+        "rng.choice((-1, 1)) * rng.getrandbits(128)",
+        ("tests/test_cli.py::test_failing_verify_output_is_pinned",),
     ),
     Mutant(
         "laplace-max-9",
@@ -386,7 +398,15 @@ MUTANTS = (
         (
             "tests/test_verify.py::test_each_identity_passes_briefly[multilinearity]",
             "tests/test_verify.py::test_matrix_laws_read_only_the_stored_ints[multilinearity]",
+            "tests/test_exactdet.py::test_multilinearity",
         ),
+    ),
+    Mutant(
+        "multilinearity-no-eye",
+        "verify.py",
+        " or det(eye) != 1",
+        "",
+        ("tests/test_exactdet.py::test_multilinearity",),
     ),
     Mutant(
         "extension-unsigned",

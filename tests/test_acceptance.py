@@ -10,23 +10,16 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from vietamat.calculus import (
-    jacobian_det_closed,
-    jacobian_matrix,
-    nodal_basis,
-    wronskian_closed,
-    wronskian_matrix,
-)
+from vietamat.calculus import jacobian_matrix
 from vietamat.exactdet import det_bareiss, det_laplace
 from vietamat.structmat import (
     build_vandermonde,
     build_vieta,
     shift_nodes,
     vieta_det_closed,
-    vieta_extension_poly,
 )
-from vietamat.sympoly import NodeSet, elem_sym_all
-from vietamat.verify import VerifyConfig, random_node_set, random_rational, trial_rng
+from vietamat.sympoly import NodeSet
+from vietamat.verify import IDENTITIES, VerifyConfig, random_node_set, random_rational, run_identity, trial_rng
 
 
 @contextmanager
@@ -131,58 +124,34 @@ def test_criterion_4_shift_invariance():
 
 
 def test_criterion_5_extension_polynomial():
-    """Appending a probe node matches the extension polynomial, 100x3."""
+    """Appending a probe node matches the extension polynomial, 100x3:
+    verify's extension law."""
     with criterion(5, "extension polynomial matches appended-node oracle"):
-        cfg = VerifyConfig(n_lo=1, n_hi=6, coeff_bound=50)
-        for trial in range(100):
-            rng = trial_rng(1005, "extension", trial)
-            ns = random_node_set(rng, cfg)
-            f = vieta_extension_poly(ns)
-            for _ in range(3):
-                x0 = random_rational(rng, 50)
-                extended = NodeSet(ns + (x0,))
-                assert det_bareiss(build_vieta(extended)) == f(x0)
+        report = run_identity("extension", 100, 1005, VerifyConfig(n_lo=1, n_hi=6, coeff_bound=50))
+        assert report.failures == 0, report.first_counterexample
 
 
 def test_criterion_6_wronskian():
     """Wronskian oracle determinant is probe-independent and matches the
-    factorial-scaled product, 100 node sets x 3 probes."""
+    factorial-scaled product, 100 node sets x 3 probes: verify's wronskian
+    law."""
     with criterion(6, "wronskian probe-independence and closed form"):
         start = time.perf_counter()
-        cfg = VerifyConfig(n_lo=1, n_hi=6, coeff_bound=50)
-        for trial in range(100):
-            rng = trial_rng(1006, "wronskian", trial)
-            ns = random_node_set(rng, cfg)
-            basis = nodal_basis(ns)
-            expected = wronskian_closed(ns)
-            for _ in range(3):
-                x0 = random_rational(rng, 50)
-                assert det_bareiss(wronskian_matrix(basis, x0)) == expected
+        report = run_identity("wronskian", 100, 1006, VerifyConfig(n_lo=1, n_hi=6, coeff_bound=50))
+        assert report.failures == 0, report.first_counterexample
         assert time.perf_counter() - start < 30.0
 
 
 def test_criterion_7_jacobian():
-    """Jacobian grid identity, oracle determinant, and exact symmetric
-    difference quotients at h = 1/7, 200 points."""
+    """Jacobian grid identity, and verify's jacobian law: the oracles give
+    the closed form, and the partials are the exact symmetric difference
+    quotients at h = 1/7, 200 points."""
     with criterion(7, "jacobian matches grid, oracle, and h=1/7 quotients"):
         cfg = VerifyConfig(n_lo=1, n_hi=8, coeff_bound=50)
-        h = Fraction(1, 7)
         for trial in range(200):
-            rng = trial_rng(1007, "jacobian", trial)
-            point = random_node_set(rng, cfg)
-            n = len(point)
-            matrix = jacobian_matrix(point)
-            assert matrix == build_vieta(point)
-            assert det_bareiss(matrix) == jacobian_det_closed(point)
-            for c in range(n):
-                plus = list(point)
-                minus = list(point)
-                plus[c] += h
-                minus[c] -= h
-                e_plus = elem_sym_all(NodeSet(plus))
-                e_minus = elem_sym_all(NodeSet(minus))
-                for r in range(1, n + 1):
-                    assert (e_plus[r] - e_minus[r]) / (2 * h) * matrix.denominators[c] == matrix.numerators[r - 1][c]
+            point = random_node_set(trial_rng(1007, "jacobian", trial), cfg)
+            assert jacobian_matrix(point) == build_vieta(point)
+            assert IDENTITIES["jacobian"].holds(point) is None
 
 
 def test_criterion_8_sign_bridge():

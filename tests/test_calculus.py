@@ -20,7 +20,8 @@ from vietamat.exactdet import det_bareiss
 from vietamat.matio import matrix_to_json
 from vietamat.rational import RationalParseError
 from vietamat.structmat import ExactMatrix, build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
-from vietamat.sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots
+from vietamat.sympoly import DensePolynomial, NodeSet, poly_from_roots
+from vietamat.verify import IDENTITIES
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 distinct_nodes = st.lists(rationals, min_size=1, max_size=6, unique=True)
@@ -173,11 +174,7 @@ def test_nodal_basis_vanishing_pattern(values):
 @settings(max_examples=40)
 @given(values=distinct_nodes, probes=st.lists(rationals, min_size=3, max_size=3))
 def test_wronskian_probe_independent_and_closed(values, probes):
-    ns = NodeSet(values)
-    basis = nodal_basis(ns)
-    expected = wronskian_closed(ns)
-    for x0 in probes:
-        assert det_bareiss(wronskian_matrix(basis, x0)) == expected
+    assert IDENTITIES["wronskian"].holds((NodeSet(values), probes)) is None
 
 
 @example(polys=[DensePolynomial((), 1)], x0=Fraction(0))
@@ -348,20 +345,7 @@ def test_jacobian_equals_vieta_and_closed(values):
 @settings(max_examples=40)
 @given(values=points)
 def test_partials_match_symmetric_difference_quotient(values):
-    """e_r is multilinear, so the symmetric quotient at h = 1/7 is exact."""
-    point = NodeSet(values)
-    n = len(values)
-    m = jacobian_matrix(point)
-    h = Fraction(1, 7)
-    for c in range(n):
-        plus = list(point)
-        minus = list(point)
-        plus[c] += h
-        minus[c] -= h
-        e_plus = elem_sym_all(NodeSet(plus))
-        e_minus = elem_sym_all(NodeSet(minus))
-        for r in range(1, n + 1):
-            assert (e_plus[r] - e_minus[r]) / (2 * h) * m.denominators[c] == m.numerators[r - 1][c]
+    assert IDENTITIES["jacobian"].holds(NodeSet(values)) is None
 
 
 def _naive_e(values, k):

@@ -1,13 +1,15 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from vietamat import calculus, exactdet, structmat, sympoly
+from vietamat import calculus, exactdet, structmat, sympoly, verify
 from vietamat.cli import main
-from vietamat.verify import IDENTITIES
+from vietamat.rational import render_rational
+from vietamat.verify import IDENTITIES, Identity
 
 
 def run(capsys, *argv):
@@ -271,7 +273,7 @@ def test_verify_bad_trials(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(IDENTITIES, "always_fails", lambda rng, cfg: ("1",))
+    monkeypatch.setitem(IDENTITIES, "always_fails", Identity(lambda rng, cfg: None, lambda inputs: ("1",)))
     code, out, _ = run(capsys, "verify", "--suite", "always_fails", "--trials", "3")
     assert code == 1
     payload = json.loads(out.strip())
@@ -347,17 +349,54 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_verify_and_bench_outputs_are_pinned(capsys):
-    code, out, _ = run(capsys, "verify", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "13ced407a08e28f24646f72f34a2a5888b55892dd38e450433ca21ff93003ee1"
-    )
+    for seed, digest in (
+        ("0", "13ced407a08e28f24646f72f34a2a5888b55892dd38e450433ca21ff93003ee1"),
+        ("42", "d62e840300c38547bd974708749537a83c04687327c6b39ccd1dfb13790a2ea6"),
+    ):
+        code, out, _ = run(capsys, "verify", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
     code, out, _ = run(capsys, "bench", "--n", "4,8,16", "--methods", "closed,bareiss")
     assert code == 0
     rows = "".join(",".join(line.split(",")[i] for i in (0, 1, 4)) + "\n" for line in out.splitlines())
     assert hashlib.sha256(rows.encode()).hexdigest() == (
         "9fb6b10454c50e0699cb37af5561c4325674dbe4182b1fde85b90fda21675bea"
     )
+
+
+def _off_above_1(ns):
+    f = structmat.vieta_extension_poly(ns)
+    return lambda x: f(x) + (x > 1)
+
+
+def _shift_dropped(ns, at):
+    return calculus.wronskian_matrix(calculus.nodal_basis(ns), 0)
+
+
+def _laplace_unless_a_row_is_constant(m):
+    value = exactdet.det_laplace(m)
+    rows = ({Fraction(e, d) for e, d in zip(row, m.denominators)} for row in m.numerators)
+    return value if any(len(row) == 1 for row in rows) else value + 1
+
+
+def test_failing_verify_output_is_pinned(capsys, monkeypatch):
+    """A failing run's counts and first counterexamples hang on the draws
+    of these identities and their order, which a passing run's stdout
+    cannot show.  The plants: an extension polynomial off by 1 at probes
+    above 1, a Wronskian build that drops its point, a renderer that drops
+    the sign of numerators past 64 bits, and a Laplace off by 1 unless a
+    row is constant.  Every vieta build has its row of ones and every
+    Wronskian its row of (n - 1)!, so only the random matrices of
+    oracle_agreement and multilinearity meet the last."""
+    monkeypatch.setattr(verify, "vieta_extension_poly", _off_above_1)
+    monkeypatch.setitem(calculus.KINDS, "wronskian", (_shift_dropped, calculus.wronskian_closed))
+    monkeypatch.setattr(verify, "render_rational", lambda r: render_rational(abs(r) if abs(r.numerator) >> 64 else r))
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_laplace_unless_a_row_is_constant, exactdet.LAPLACE_MAX))
+    suite = "extension,wronskian,roundtrip,oracle_agreement,multilinearity"
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "10", "--seed", "42")
+    assert code == 1
+    assert [json.loads(line)["failures"] for line in out.splitlines()] == [5, 9, 10, 7, 10]
+    assert hashlib.sha256(out.encode()).hexdigest() == "11400f9eca6f0bb0ec0304900e6c5490e325d3de4717e9038c3b1c5b13c753b5"
 
 
 # sha256 of `build` stdout on nodes with a negative, a zero and a repeated node.

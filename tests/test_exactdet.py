@@ -2,6 +2,7 @@ import builtins
 import itertools
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_ma
 from vietamat.exactdet import LAPLACE_MAX, LaplaceSizeError, det_bareiss, det_laplace
 from vietamat.structmat import ExactMatrix, build_vieta
 from vietamat.sympoly import NodeSet
+from vietamat.verify import IDENTITIES
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 
@@ -32,8 +34,8 @@ def leibniz_det(rows):
     return total
 
 
-def square_matrices(max_n):
-    return st.integers(min_value=1, max_value=max_n).flatmap(
+def square_matrices(max_n, min_n=1):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.lists(
             st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
         )
@@ -154,45 +156,23 @@ def test_both_oracles_match_leibniz_on_huge_denominators(rows):
 @settings(max_examples=50)
 @given(rows=square_matrices(6))
 def test_oracle_agreement(rows):
-    m = ExactMatrix.from_rows(rows)
-    assert det_laplace(m) == det_bareiss(m)
+    assert IDENTITIES["oracle_agreement"].holds(ExactMatrix.from_rows(rows)) is None
 
 
-@given(rows=square_matrices(5), s=rationals, data=st.data())
-def test_row_scaling(rows, s, data):
-    r = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
-    m = ExactMatrix.from_rows(rows)
-    scaled = ExactMatrix.from_rows(
-        [[s * e for e in row] if i == r else row for i, row in enumerate(rows)]
-    )
-    assert det_laplace(scaled) == s * det_laplace(m)
-    assert det_bareiss(scaled) == s * det_bareiss(m)
-
-
-@given(rows=square_matrices(5), data=st.data())
-def test_row_swap_negates(rows, data):
-    if len(rows) < 2:
-        return
-    i = data.draw(st.integers(min_value=0, max_value=len(rows) - 2))
-    j = data.draw(st.integers(min_value=i + 1, max_value=len(rows) - 1))
-    swapped = list(rows)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    assert det_laplace(ExactMatrix.from_rows(swapped)) == -det_laplace(ExactMatrix.from_rows(rows))
-    assert det_bareiss(ExactMatrix.from_rows(swapped)) == -det_bareiss(ExactMatrix.from_rows(rows))
-
-
-@given(rows=square_matrices(5), data=st.data())
-def test_duplicate_rows_zero(rows, data):
-    if len(rows) < 2:
-        return
-    i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
-    j = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
-    if i == j:
-        return
-    duplicated = list(rows)
-    duplicated[j] = duplicated[i]
-    assert det_laplace(ExactMatrix.from_rows(duplicated)) == 0
-    assert det_bareiss(ExactMatrix.from_rows(duplicated)) == 0
+@given(rows=square_matrices(5, min_n=2), s=rationals, data=st.data())
+def test_multilinearity(rows, s, data):
+    """verify's multilinearity law on these matrices: scaling row r by s
+    scales, swapping rows i and j negates, det(I) = 1 and a duplicated row
+    gives 0, for both oracles.  A doubled oracle keeps every law but
+    det(I) = 1, and the law sees it."""
+    n = len(rows)
+    r = data.draw(st.integers(min_value=0, max_value=n - 1))
+    pair = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True))
+    inputs = (ExactMatrix.from_rows(rows), s, r, tuple(sorted(pair)))
+    holds = IDENTITIES["multilinearity"].holds
+    assert holds(inputs) is None
+    with mock.patch.dict(exactdet.ORACLES, doubled=(lambda m: 2 * det_bareiss(m), None)):
+        assert holds(inputs) is not None
 
 
 @given(rows=square_matrices(5), data=st.data())
@@ -204,13 +184,6 @@ def test_duplicate_columns_zero(rows, data):
     duplicated = [[row[i] if c == j else e for c, e in enumerate(row)] for row in rows]
     assert det_laplace(ExactMatrix.from_rows(duplicated)) == 0
     assert det_bareiss(ExactMatrix.from_rows(duplicated)) == 0
-
-
-@given(n=st.integers(min_value=1, max_value=8))
-def test_identity_det(n):
-    eye = ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
-    assert det_bareiss(eye) == 1
-    assert det_laplace(eye) == 1
 
 
 @settings(max_examples=80)

@@ -17,9 +17,16 @@ from vietamat.structmat import (
     vieta_extension_poly,
 )
 from vietamat.sympoly import DensePolynomial, NodeSet
+from vietamat.verify import IDENTITIES
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 node_lists = st.lists(rationals, min_size=1, max_size=8)
+
+
+def index_pair(data, n):
+    """Two different indices below n, in increasing order."""
+    i = data.draw(st.integers(min_value=0, max_value=n - 2))
+    return i, data.draw(st.integers(min_value=i + 1, max_value=n - 1))
 
 
 def test_matrix_validation():
@@ -191,15 +198,14 @@ def test_sign_bridge(values):
 
 @given(values=node_lists, c=rationals)
 def test_shift_invariance_closed(values, c):
-    ns = NodeSet(values)
-    assert vieta_det_closed(shift_nodes(ns, c)) == vieta_det_closed(ns)
+    assert IDENTITIES["corollary1"].holds((NodeSet(values), c)) is None
 
 
-@given(values=node_lists)
-def test_repeated_node_zeroes_closed_form(values):
-    ns = NodeSet(values + [values[0]])
-    assert vieta_det_closed(ns) == 0
-    assert vieta_extension_poly(ns) == DensePolynomial((), 1)
+@given(values=st.lists(rationals, min_size=2, max_size=8), repeat=st.booleans(), data=st.data())
+def test_repeated_node_zeroes_closed_form(values, repeat, data):
+    """verify's degenerate law: repeating node i at j, or zeroing both,
+    gives 0 from the closed form and both oracles."""
+    assert IDENTITIES["degenerate"].holds((NodeSet(values), index_pair(data, len(values)), repeat)) is None
 
 
 def test_repeated_node_skips_the_root_product(monkeypatch):
@@ -235,8 +241,4 @@ def test_zero_factor_at_rational_nodes_returns_zero():
 
 @given(values=st.lists(rationals, min_size=2, max_size=8, unique=True), data=st.data())
 def test_swap_negates_closed_form(values, data):
-    i = data.draw(st.integers(min_value=0, max_value=len(values) - 2))
-    j = data.draw(st.integers(min_value=i + 1, max_value=len(values) - 1))
-    swapped = list(values)
-    swapped[i], swapped[j] = swapped[j], swapped[i]
-    assert vieta_det_closed(NodeSet(swapped)) == -vieta_det_closed(NodeSet(values))
+    assert IDENTITIES["antisymmetry"].holds((NodeSet(values), index_pair(data, len(values)))) is None

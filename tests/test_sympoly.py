@@ -13,6 +13,7 @@ from vietamat.sympoly import (
     leave_one_out_table,
     poly_from_roots,
 )
+from vietamat.verify import IDENTITIES
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 node_lists = st.lists(rationals, min_size=1, max_size=8)
@@ -181,12 +182,7 @@ def test_elem_sym_matches_bruteforce(values):
 
 @given(values=node_lists)
 def test_table_matches_bruteforce(values):
-    ns = NodeSet(values)
-    columns, denominators = leave_one_out_scaled(ns)
-    for j in range(len(values)):
-        rest = ns[:j] + ns[j + 1:]
-        for k in range(len(values)):
-            assert columns[j][k] == denominators[j] * esp_bruteforce(rest, k)
+    assert IDENTITIES["leave_one_out"].holds(NodeSet(values)) is None
 
 
 @example(values=[Fraction(0)])
@@ -219,25 +215,10 @@ def test_sign_coefficient_duality(values):
 
 @given(values=st.lists(rationals, min_size=1, max_size=6, unique=True))
 def test_recombination(values):
-    """Column j as a monic polynomial times (x - a_j) rebuilds the full product."""
-    ns = NodeSet(values)
-    n = len(values)
-    columns, denominators = leave_one_out_scaled(ns)
-    full = poly_from_roots(ns)
-    for j in range(n):
-        signed = [-c if k % 2 else c for k, c in enumerate(columns[j])]
-        column_poly = DensePolynomial(signed[::-1], denominators[j])
-        assert column_poly * DensePolynomial.of(-values[j], 1) == full
+    assert IDENTITIES["recombination"].holds(NodeSet(values)) is None
 
 
 @given(values=small_node_lists, data=st.data())
 def test_permutation_equivariance(values, data):
-    ns = NodeSet(values)
-    n = len(values)
-    sigma = data.draw(st.permutations(range(n)))
-    permuted = NodeSet(values[sigma[j]] for j in range(n))
-    assert elem_sym_all(permuted) == elem_sym_all(ns)
-    columns, denominators = leave_one_out_scaled(ns)
-    permuted_columns, permuted_denominators = leave_one_out_scaled(permuted)
-    for j in range(n):
-        assert permuted_columns[j] == columns[sigma[j]] and permuted_denominators[j] == denominators[sigma[j]]
+    sigma = data.draw(st.permutations(range(len(values))))
+    assert IDENTITIES["permutation"].holds((NodeSet(values), sigma)) is None

@@ -9,6 +9,7 @@ from vietamat import calculus, exactdet, structmat, verify
 from vietamat.rational import render_rational
 from vietamat.verify import (
     IDENTITIES,
+    Identity,
     UnknownIdentityError,
     VerifyConfig,
     random_node_set,
@@ -109,11 +110,11 @@ def test_argument_validation():
 def test_failure_accounting(monkeypatch):
     calls = []
 
-    def always_fails(rng, cfg):
+    def always_fails(inputs):
         calls.append(1)
         return ("1", "2")
 
-    monkeypatch.setitem(IDENTITIES, "always_fails", always_fails)
+    monkeypatch.setitem(IDENTITIES, "always_fails", Identity(lambda rng, cfg: None, always_fails))
     report = run_identity("always_fails", 7, 0, VerifyConfig())
     assert report.failures == 7
     assert len(calls) == 7
@@ -386,16 +387,11 @@ def test_matrix_laws_read_only_the_stored_ints(monkeypatch, identity):
 @pytest.mark.parametrize("identity", ["oracle_agreement", "multilinearity"])
 def test_counterexample_is_the_drawn_matrix_in_wire_text(monkeypatch, identity):
     """A wrong oracle fails every trial, and the first counterexample is
-    the first drawn matrix, row-major, as `render_rational` writes it."""
-    draw, drawn = verify._random_matrix, []
-
-    def recording(*args):
-        drawn.append(draw(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(verify, "_random_matrix", recording)
+    trial 0's drawn matrix, row-major, as `render_rational` writes it."""
     monkeypatch.setitem(exactdet.ORACLES, "wrong", (_plus_one(exactdet.det_bareiss), None))
     report = run_identity(identity, 5, 0, VerifyConfig())
     assert report.failures == 5
-    assert report.first_counterexample == tuple(render_rational(e) for row in drawn[0].entries for e in row)
+    inputs = IDENTITIES[identity].draw(trial_rng(0, identity, 0), VerifyConfig())
+    matrix = inputs if identity == "oracle_agreement" else inputs[0]
+    assert report.first_counterexample == tuple(render_rational(e) for row in matrix.entries for e in row)
     assert any("/" in text for text in report.first_counterexample)
