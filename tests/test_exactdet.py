@@ -159,20 +159,40 @@ def test_oracle_agreement(rows):
     assert IDENTITIES["oracle_agreement"].holds(ExactMatrix.from_rows(rows)) is None
 
 
-@given(rows=square_matrices(5, min_n=2), s=rationals, data=st.data())
-def test_multilinearity(rows, s, data):
-    """verify's multilinearity law on these matrices: scaling row r by s
-    scales, swapping rows i and j negates, det(I) = 1 and a duplicated row
-    gives 0, for both oracles.  A doubled oracle keeps every law but
-    det(I) = 1, and the law sees it."""
-    n = len(rows)
-    r = data.draw(st.integers(min_value=0, max_value=n - 1))
-    pair = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True))
-    inputs = (ExactMatrix.from_rows(rows), s, r, tuple(sorted(pair)))
+def multilinearity_sees(rows, s, data, oracle):
+    """verify's multilinearity law on rows, s, a drawn r and i < j passes both oracles; does it fail `oracle`?"""
+    index = st.integers(min_value=0, max_value=len(rows) - 1)
+    pair = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    inputs = (ExactMatrix.from_rows(rows), s, data.draw(index), tuple(sorted(pair)))
     holds = IDENTITIES["multilinearity"].holds
     assert holds(inputs) is None
-    with mock.patch.dict(exactdet.ORACLES, doubled=(lambda m: 2 * det_bareiss(m), None)):
-        assert holds(inputs) is not None
+    with mock.patch.dict(exactdet.ORACLES, planted=(oracle, None)):
+        return holds(inputs) is not None
+
+
+@given(rows=square_matrices(5, min_n=2), s=rationals, data=st.data())
+def test_row_scaling(rows, s, data):
+    """det³ keeps every law but scaling, which sees it unless s is 0 or ±1 or the det is 0."""
+    seen = multilinearity_sees(rows, s, data, lambda m: det_bareiss(m) ** 3)
+    assert seen or s in (-1, 0, 1) or leibniz_det(rows) == 0
+
+
+@given(rows=square_matrices(5, min_n=2), s=rationals, data=st.data())
+def test_row_swap_negates(rows, s, data):
+    """|det| keeps det(I) = 1 and a duplicated row's 0; the swap sees it unless the det is 0."""
+    assert multilinearity_sees(rows, s, data, lambda m: abs(det_bareiss(m))) or leibniz_det(rows) == 0
+
+
+@given(rows=square_matrices(5, min_n=2), s=rationals, data=st.data())
+def test_duplicate_rows_zero(rows, s, data):
+    """An oracle that reads 1 for a zero det fails on the duplicated row."""
+    assert multilinearity_sees(rows, s, data, lambda m: det_bareiss(m) or 1)
+
+
+@given(rows=square_matrices(5, min_n=2), s=rationals, data=st.data())
+def test_identity_det(rows, s, data):
+    """A doubled oracle keeps every law but det(I) = 1, and the law sees it."""
+    assert multilinearity_sees(rows, s, data, lambda m: 2 * det_bareiss(m))
 
 
 @given(rows=square_matrices(5), data=st.data())
