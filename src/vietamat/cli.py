@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for alias in ("wronskian", "jacobian"):
         p_alias = sub.add_parser(alias, help=f"shorthand for: det {alias}")
-        _add_det_arguments(p_alias, fixed_kind=alias)
+        _add_det_arguments(p_alias)
+        p_alias.set_defaults(kind=alias)
 
     p_verify = sub.add_parser("verify", help="run randomized identity checks, one JSON line each")
     p_verify.add_argument("--suite", default="all", help="comma-separated identity names, or 'all'")
@@ -81,13 +82,10 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_det_arguments(parser: argparse.ArgumentParser, fixed_kind: str | None = None) -> None:
+def _add_det_arguments(parser: argparse.ArgumentParser) -> None:
     _add_input_arguments(parser)
     parser.add_argument("--method", choices=METHODS, default="closed")
-    if fixed_kind is None:
-        parser.set_defaults(handler=_cmd_det)
-    else:
-        parser.set_defaults(handler=_cmd_det, kind=fixed_kind)
+    parser.set_defaults(handler=_cmd_det)
 
 
 def _resolve_nodes(args) -> NodeSet:

@@ -139,6 +139,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_failing_verify_output_is_pinned",),
     ),
     Mutant(
+        "degenerate-always-repeats",
+        "verify.py",
+        "rng.random() < 0.5",
+        "True",
+        ("tests/test_verify.py::test_degenerate_draws_both_branches",),
+    ),
+    Mutant(
         "laplace-max-9",
         "exactdet.py",
         "LAPLACE_MAX = 8",

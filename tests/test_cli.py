@@ -356,11 +356,11 @@ def test_verify_and_bench_outputs_are_pinned(capsys):
         code, out, _ = run(capsys, "verify", "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
-    code, out, _ = run(capsys, "bench", "--n", "4,8,16", "--methods", "closed,bareiss")
+    code, out, _ = run(capsys, "bench", "--n", "4,8,16,32", "--methods", "closed,bareiss")
     assert code == 0
     rows = "".join(",".join(line.split(",")[i] for i in (0, 1, 4)) + "\n" for line in out.splitlines())
     assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "9fb6b10454c50e0699cb37af5561c4325674dbe4182b1fde85b90fda21675bea"
+        "e0f838ecde782dd07a671e4b9f22b6c32c0b746571d3c0fba475fe5c79eefaaf"
     )
 
 

@@ -373,14 +373,24 @@ def test_each_law_sees_a_planted_fault(monkeypatch, identity):
     assert run_identity(identity, 30, 0, VerifyConfig(3, 6, 50)).failures > 0
 
 
+def test_degenerate_draws_both_branches():
+    """The last-row plant above is seen only on trials that zero two nodes,
+    so those 30 trials must draw both sides of degenerate's coin: repeat
+    a node, or zero two."""
+    draw = IDENTITIES["degenerate"].draw
+    coins = {draw(trial_rng(0, "degenerate", t), VerifyConfig(3, 6, 50))[2] for t in range(30)}
+    assert coins == {True, False}
+
+
 def _no_entries(matrix):
     raise AssertionError("ExactMatrix.entries was read")
 
 
 @pytest.mark.parametrize("identity", ["jacobian", "multilinearity", "oracle_agreement"])
 def test_matrix_laws_read_only_the_stored_ints(monkeypatch, identity):
-    """With `ExactMatrix.entries` raising, these identities still pass."""
-    monkeypatch.setattr(structmat.ExactMatrix, "entries", property(_no_entries))
+    """With `ExactMatrix.entries` raising, these identities still pass.
+    raising=False: the check still holds once the view is deleted."""
+    monkeypatch.setattr(structmat.ExactMatrix, "entries", property(_no_entries), raising=False)
     assert run_identity(identity, 30, 0, VerifyConfig(1, 6, 50)).failures == 0
 
 
@@ -393,5 +403,6 @@ def test_counterexample_is_the_drawn_matrix_in_wire_text(monkeypatch, identity):
     assert report.failures == 5
     inputs = IDENTITIES[identity].draw(trial_rng(0, identity, 0), VerifyConfig())
     matrix = inputs if identity == "oracle_agreement" else inputs[0]
-    assert report.first_counterexample == tuple(render_rational(e) for row in matrix.entries for e in row)
+    expected = (Fraction(e, d) for row in matrix.numerators for e, d in zip(row, matrix.denominators))
+    assert report.first_counterexample == tuple(map(render_rational, expected))
     assert any("/" in text for text in report.first_counterexample)
