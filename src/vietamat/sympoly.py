@@ -136,13 +136,6 @@ def scaled_product(values: Iterable[Fraction]) -> list[int]:
     return product
 
 
-def elem_sym_all(ns: NodeSet) -> list[Fraction]:
-    """All elementary symmetric values [e_0, e_1, ..., e_n] of the nodes,
-    read off `scaled_product` over its entry 0."""
-    product = scaled_product(ns)
-    return [Fraction(c, product[0]) for c in product]
-
-
 def leave_one_out_scaled(ns: NodeSet) -> tuple[list[list[int]], list[int]]:
     """The e_k grid over every leave-one-out multiset of the nodes, in
     ints: columns[j][k] / denominators[j] is e_k of the nodes with node j

@@ -38,7 +38,7 @@ from .exactdet import ORACLES
 from .matio import rendered_rows, serialize_nodes
 from .rational import parse_rational, render_rational
 from .structmat import ExactMatrix, shift_nodes, vieta_extension_poly
-from .sympoly import DensePolynomial, NodeSet, elem_sym_all, poly_from_roots, scaled_product
+from .sympoly import DensePolynomial, NodeSet, poly_from_roots, scaled_product
 
 MAX_SEED = 2**64 - 1
 
@@ -315,13 +315,14 @@ def _jacobian(point):
         return serialize_nodes(point)
     h = Fraction(1, 7)
     for c, a in enumerate(point):
-        e_plus = elem_sym_all(NodeSet(point[:c] + (a + h,) + point[c + 1:]))
-        e_minus = elem_sym_all(NodeSet(point[:c] + (a - h,) + point[c + 1:]))
+        plus = scaled_product(point[:c] + (a + h,) + point[c + 1:])
+        minus = scaled_product(point[:c] + (a - h,) + point[c + 1:])
+        scale = 2 * plus[0] * minus[0]
         for r, row in enumerate(matrix.numerators, 1):
             # e_r is degree <= 1 in each coordinate, so the symmetric
-            # quotient is the exact partial, not an approximation
-            q = (e_plus[r] - e_minus[r]) / (2 * h)
-            if q.numerator * matrix.denominators[c] != q.denominator * row[c]:
+            # quotient (plus[r]/plus[0] - minus[r]/minus[0]) / 2h is the
+            # exact partial N[r][c] / D_c; cross-multiplied, with 1/h = 7
+            if 7 * (plus[r] * minus[0] - minus[r] * plus[0]) * matrix.denominators[c] != scale * row[c]:
                 return serialize_nodes(point)
     return None
 
@@ -410,9 +411,9 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
 
 
 def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> list[VerifyReport]:
-    """Run a list of identities, or every identity for "all".  Every name
-    is checked before any identity runs; an empty list is an error."""
-    selected = list(IDENTITIES) if names == "all" or names == ["all"] else list(names)
+    """Run a list of identity names; ["all"] runs every identity.  Every
+    name is checked before any identity runs; an empty list is an error."""
+    selected = list(IDENTITIES) if names == ["all"] else list(names)
     if not selected:
         raise ValueError("no identities selected")
     for name in selected:

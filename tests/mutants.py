@@ -440,6 +440,13 @@ MUTANTS = (
         "holds = ",
         ("tests/test_verify.py::test_permutation_compares_the_root_products_ints",),
     ),
+    Mutant(
+        "jacobian-quotient-no-h",
+        "verify.py",
+        "if 7 * (plus[r] * minus[0]",
+        "if (plus[r] * minus[0]",
+        ("tests/test_calculus.py::test_partials_match_symmetric_difference_quotient",),
+    ),
 )
 
 

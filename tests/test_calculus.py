@@ -19,7 +19,7 @@ from vietamat.calculus import (
 from vietamat.exactdet import det_bareiss
 from vietamat.matio import matrix_to_json
 from vietamat.rational import RationalParseError
-from vietamat.structmat import ExactMatrix, build_vieta, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
+from vietamat.structmat import ExactMatrix, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
 from vietamat.sympoly import DensePolynomial, NodeSet, poly_from_roots
 from vietamat.verify import IDENTITIES
 
@@ -238,7 +238,7 @@ def test_closed_forms_match_naive_product(values):
     pairs = list(itertools.combinations(range(n), 2))
     forward = math.prod((values[i] - values[k] for i, k in pairs), start=Fraction(1))
     backward = math.prod((values[k] - values[i] for i, k in pairs), start=Fraction(1))
-    assert vieta_det_closed(ns) == jacobian_det_closed(ns) == forward
+    assert vieta_det_closed(ns) == forward
     assert vandermonde_det_closed(ns) == backward
     assert wronskian_closed(ns) == math.prod(math.factorial(k) for k in range(n)) * forward
 
@@ -332,14 +332,6 @@ def test_equality_builds_no_fraction(monkeypatch):
     assert m != changed and changed != m
     assert p == q and q == p
     assert p != DensePolynomial([-42, 28, 0, 71], 12)
-
-
-@given(values=points)
-def test_jacobian_equals_vieta_and_closed(values):
-    point = NodeSet(values)
-    m = jacobian_matrix(point)
-    assert m == build_vieta(point)
-    assert det_bareiss(m) == jacobian_det_closed(point) == vieta_det_closed(point)
 
 
 @settings(max_examples=40)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from vietamat.sympoly import (
     DensePolynomial,
     NodeSet,
-    elem_sym_all,
     leave_one_out_scaled,
     leave_one_out_table,
     poly_from_roots,
+    scaled_product,
 )
 from vietamat.verify import IDENTITIES
 
@@ -68,9 +68,9 @@ def test_node_set_keeps_given_fractions():
 
 
 def test_elem_sym_examples():
-    assert elem_sym_all(NodeSet((1, 2, 3))) == [1, 6, 11, 6]
-    assert elem_sym_all(NodeSet((5,))) == [1, 5]
-    assert elem_sym_all(NodeSet((0, 0))) == [1, 0, 0]
+    assert scaled_product(NodeSet((1, 2, 3))) == [1, 6, 11, 6]
+    assert scaled_product(NodeSet((5,))) == [1, 5]
+    assert scaled_product(NodeSet((0, 0))) == [1, 0, 0]
 
 
 def test_table_examples():
@@ -173,11 +173,10 @@ def test_polynomial_multiplication():
 
 @given(values=node_lists)
 def test_elem_sym_matches_bruteforce(values):
-    ns = NodeSet(values)
-    computed = elem_sym_all(ns)
-    assert len(computed) == len(values) + 1
-    for k, e_k in enumerate(computed):
-        assert e_k == esp_bruteforce(values, k)
+    product = scaled_product(NodeSet(values))
+    assert len(product) == len(values) + 1
+    for k, p_k in enumerate(product):
+        assert Fraction(p_k, product[0]) == esp_bruteforce(values, k)
 
 
 @given(values=node_lists)
@@ -195,9 +194,8 @@ def test_table_columns_match_elem_sym_of_rest(values):
     n = len(values)
     columns, denominators = leave_one_out_scaled(ns)
     for j in range(n):
-        rest = ns[:j] + ns[j + 1:]
-        expected = elem_sym_all(NodeSet(rest))[:n] if rest else [1]
-        assert columns[j] == [denominators[j] * e for e in expected]
+        expected = scaled_product(ns[:j] + ns[j + 1:])
+        assert [f * expected[0] for f in columns[j]] == [denominators[j] * p for p in expected]
 
 
 @given(values=node_lists)
@@ -206,11 +204,11 @@ def test_sign_coefficient_duality(values):
     ns = NodeSet(values)
     n = len(values)
     poly = poly_from_roots(ns)
-    e = elem_sym_all(ns)
+    product = scaled_product(ns)
     assert len(poly.numerators) == n + 1
     for k in range(n + 1):
-        expected = e[k] if k % 2 == 0 else -e[k]
-        assert poly.numerators[n - k] == poly.denominator * expected
+        expected = product[k] if k % 2 == 0 else -product[k]
+        assert poly.numerators[n - k] * product[0] == poly.denominator * expected
 
 
 @given(values=st.lists(rationals, min_size=1, max_size=6, unique=True))

@@ -125,7 +125,7 @@ def test_failure_accounting(monkeypatch):
 
 def test_run_suite_all_covers_registry():
     cfg = VerifyConfig(n_lo=1, n_hi=3, coeff_bound=8)
-    reports = run_suite("all", 2, 5, cfg)
+    reports = run_suite(["all"], 2, 5, cfg)
     assert [r.identity for r in reports] == list(IDENTITIES)
     assert all(r.failures == 0 for r in reports)
 
@@ -134,7 +134,7 @@ def test_every_identity_runs_on_forced_repeats():
     """Coeff bound 1 allows only the nodes -1, 0 and 1, so any set of four
     or more repeats a node; every identity still runs at every size up to
     10 and passes."""
-    reports = run_suite("all", 5, 0, VerifyConfig(1, 10, 1))
+    reports = run_suite(["all"], 5, 0, VerifyConfig(1, 10, 1))
     assert [(r.identity, r.failures) for r in reports] == [(name, 0) for name in IDENTITIES]
 
 
