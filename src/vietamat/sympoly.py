@@ -10,7 +10,6 @@ ints over one denominator; no numerators at all is the zero polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .rational import as_fraction
@@ -44,10 +43,8 @@ class DensePolynomial:
     ints, so it builds no Fraction; instances are not hashable.  Treat
     them as immutable.  `*` multiplies two polynomials.
 
-    `DensePolynomial(numerators, denominator)` takes the integer form and
-    raises ValueError unless the numerators are ints and the denominator
-    is an int >= 1; `of(*coefficients)` takes Fractions, ints or wire
-    text (`as_fraction`) and clears them to their lcm once.
+    `DensePolynomial(numerators, denominator)` raises ValueError unless
+    the numerators are ints and the denominator is an int >= 1.
     """
 
     def __init__(self, numerators: Iterable[int], denominator: int):
@@ -60,12 +57,6 @@ class DensePolynomial:
             numerators.pop()
         self.numerators = tuple(numerators)
         self.denominator = denominator
-
-    @classmethod
-    def of(cls, *coefficients) -> "DensePolynomial":
-        coeffs = [as_fraction(c) for c in coefficients]
-        denominator = lcm(*(c.denominator for c in coeffs))
-        return cls([c.numerator * (denominator // c.denominator) for c in coeffs], denominator)
 
     def __eq__(self, other):
         if not isinstance(other, DensePolynomial):

@@ -441,6 +441,17 @@ MUTANTS = (
         ("tests/test_verify.py::test_permutation_compares_the_root_products_ints",),
     ),
     Mutant(
+        "esp-bruteforce-start-one",
+        "verify.py",
+        "combinations(values, k)), Fraction(0))",
+        "combinations(values, k)), Fraction(1))",
+        (
+            "tests/test_sympoly.py::test_elem_sym_matches_bruteforce",
+            "tests/test_sympoly.py::test_table_matches_bruteforce",
+            "tests/test_calculus.py::test_builders_match_naive_fractions[vieta]",
+        ),
+    ),
+    Mutant(
         "jacobian-quotient-no-h",
         "verify.py",
         "if 7 * (plus[r] * minus[0]",

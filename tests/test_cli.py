@@ -230,14 +230,6 @@ def test_verify_above_laplace_reach_passes(capsys):
     assert [(r["identity"], r["failures"]) for r in reports] == [(name, 0) for name in suite.split(",")]
 
 
-def test_verify_repeat_is_byte_identical(capsys):
-    args = ("verify", "--suite", "roundtrip,sign_bridge", "--trials", "30", "--seed", "42")
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2

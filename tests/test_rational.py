@@ -3,15 +3,15 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vietamat import rational
 from vietamat.rational import RationalParseError, as_fraction, parse_rational, render_ratio, render_rational
 from vietamat.structmat import ExactMatrix
-from vietamat.sympoly import DensePolynomial, NodeSet
+from vietamat.sympoly import NodeSet
+from vietamat.verify import IDENTITIES
 
-# Every scalar in the library is a Fraction, so its arithmetic is Fraction's.
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 
 
@@ -87,40 +87,10 @@ def test_render_format():
     assert render_rational(Fraction(0)) == "0"
 
 
-def test_no_overflow_at_large_magnitude():
-    big = Fraction(10**60 + 1, 10**45 + 3)
-    assert big * big == Fraction((10**60 + 1) ** 2, (10**45 + 3) ** 2)
-    assert parse_rational(render_rational(big)) == big
-
-
-@given(a=rationals, b=rationals)
-def test_results_are_canonical(a, b):
-    import math
-
-    r = a + b
-    assert r.denominator > 0
-    assert math.gcd(abs(r.numerator), r.denominator) == 1
-
-
-@given(a=rationals, b=rationals, c=rationals)
-def test_field_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-
-
-@given(a=rationals)
-def test_inverses(a):
-    assert a - a == 0
-    if a != 0:
-        assert a / a == 1
-
-
+@example(r=Fraction(10**60 + 1, 10**45 + 3))
 @given(r=rationals)
 def test_roundtrip(r):
-    assert parse_rational(render_rational(r)) == r
+    assert IDENTITIES["roundtrip"].holds([r]) is None
 
 
 @given(numerator=st.integers(-(10**30), 10**30), denominator=st.integers(1, 10**30))
@@ -153,8 +123,8 @@ def test_as_fraction_is_the_wire_grammar():
 
 @pytest.mark.parametrize(
     "make",
-    [NodeSet, lambda values: DensePolynomial.of(*values), lambda values: ExactMatrix.from_rows([values])],
-    ids=["NodeSet", "DensePolynomial.of", "ExactMatrix.from_rows"],
+    [NodeSet, lambda values: ExactMatrix.from_rows([values])],
+    ids=["NodeSet", "ExactMatrix.from_rows"],
 )
 def test_value_constructors_read_rationals_through_as_fraction(make):
     """Each value constructor takes text in the CLI's grammar, and no float

@@ -175,7 +175,7 @@ def test_shift_nodes():
 
 def test_extension_poly_examples():
     f = vieta_extension_poly(NodeSet((1, 2, 3)))
-    assert f == DensePolynomial.of(-12, 22, -12, 2)
+    assert f == DensePolynomial((-12, 22, -12, 2), 1)
     assert f(Fraction(0)) == -12
     assert vieta_extension_poly(NodeSet((4, 4))) == DensePolynomial((), 1)
 

