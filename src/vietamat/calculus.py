@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rational import as_fraction
-from .structmat import ExactMatrix, build_vandermonde, build_vieta, shift_nodes, vandermonde_det_closed, vieta_det_closed
+from .structmat import ExactMatrix, build_vandermonde, build_vieta, vandermonde_det_closed, vieta_det_closed
 from .sympoly import DensePolynomial, NodeSet, leave_one_out_scaled, monic
 
 
@@ -70,6 +70,6 @@ jacobian_det_closed = vieta_det_closed
 KINDS = {
     "vieta": (lambda ns, at: build_vieta(ns), vieta_det_closed),
     "vandermonde": (lambda ns, at: build_vandermonde(ns), vandermonde_det_closed),
-    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(shift_nodes(ns, at)), 0), wronskian_closed),
+    "wronskian": (lambda ns, at: wronskian_matrix(nodal_basis(NodeSet(a - at for a in ns)), 0), wronskian_closed),
     "jacobian": (lambda ns, at: jacobian_matrix(ns), jacobian_det_closed),
 }

@@ -196,15 +196,6 @@ def vandermonde_det_closed(ns: NodeSet) -> Fraction:
     return -det if n * (n - 1) // 2 % 2 else det
 
 
-def shift_nodes(ns: NodeSet, c: Fraction) -> NodeSet:
-    """Subtract c from every node, preserving order.
-
-    The closed-form determinant is invariant under this shift even though
-    the matrix entries all change.
-    """
-    return NodeSet(a - c for a in ns)
-
-
 def vieta_extension_poly(ns: NodeSet) -> DensePolynomial:
     """The determinant of the (n+1)-node matrix over nodes + [x], as a
     polynomial in x.

@@ -37,7 +37,7 @@ from .calculus import KINDS, nodal_basis, wronskian_matrix
 from .exactdet import ORACLES
 from .matio import rendered_rows, serialize_nodes
 from .rational import parse_rational, render_rational
-from .structmat import ExactMatrix, shift_nodes, vieta_extension_poly
+from .structmat import ExactMatrix, vieta_extension_poly
 from .sympoly import DensePolynomial, NodeSet, poly_from_roots, scaled_product
 
 MAX_SEED = 2**64 - 1
@@ -202,7 +202,7 @@ def _corollary1(inputs):
     """Shifting every node by c leaves the closed form unchanged, and every
     oracle within its reach gives it on the shifted nodes' matrix."""
     ns, c = inputs
-    shifted = shift_nodes(ns, c)
+    shifted = NodeSet(a - c for a in ns)
     build, closed = KINDS["vieta"]
     value = closed(ns)
     holds = closed(shifted) == value and _oracles_give(value, build(shifted, Fraction(0)))

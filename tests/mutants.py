@@ -250,7 +250,7 @@ MUTANTS = (
     Mutant(
         "shift-dropped",
         "calculus.py",
-        "nodal_basis(shift_nodes(ns, at)), 0)",
+        "nodal_basis(NodeSet(a - at for a in ns)), 0)",
         "nodal_basis(ns), 0)",
         (
             "tests/test_calculus.py::test_builders_match_naive_fractions[wronskian]",
@@ -305,6 +305,13 @@ MUTANTS = (
         "    if len(set(pairs)) < len(pairs):\n        return Fraction(0)\n    q = product_tree([t for _, t in pairs])\n",
         "    q = product_tree([t for _, t in pairs])\n    if len(set(pairs)) < len(pairs):\n        return Fraction(0)\n",
         ("tests/test_calculus.py::test_repeated_node_anywhere_multiplies_nothing",),
+    ),
+    Mutant(
+        "closed-wrong-past-the-n4-grid",
+        "structmat.py",
+        "if len(set(pairs)) < len(pairs):",
+        "if len(set(pairs)) < len(pairs) or pairs[-2:] == [(3, 1), (4, 1)]:",
+        ("tests/test_calculus.py::test_closed_forms_hold_on_the_proof_grid",),
     ),
     Mutant(
         "closed-split-one-pass",

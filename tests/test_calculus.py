@@ -21,7 +21,7 @@ from vietamat.matio import matrix_to_json
 from vietamat.rational import RationalParseError
 from vietamat.structmat import ExactMatrix, vandermonde_det_closed, vieta_det_closed, vieta_extension_poly
 from vietamat.sympoly import DensePolynomial, NodeSet, poly_from_roots
-from vietamat.verify import IDENTITIES, _esp_bruteforce
+from vietamat.verify import IDENTITIES, _esp_bruteforce, _oracles_give
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
 distinct_nodes = st.lists(rationals, min_size=1, max_size=6, unique=True)
@@ -130,18 +130,26 @@ def test_wronskian_matrix_det_matches_closed_at_zero():
     assert det_bareiss(wronskian_matrix(nodal_basis(ns), Fraction(0))) == -4
 
 
-def test_jacobian_examples():
-    m = jacobian_matrix(NodeSet((1, 2, 3)))
-    assert m == ExactMatrix.from_rows(((1, 1, 1), (5, 4, 3), (6, 3, 2)))
-    x1, x2 = Fraction(3, 4), Fraction(-1, 6)
-    assert jacobian_matrix(NodeSet((x1, x2))) == ExactMatrix.from_rows(((1, 1), (x2, x1)))
-    assert jacobian_matrix(NodeSet((5,))) == ExactMatrix.from_rows(((1,),))
+def test_jacobian_is_the_vieta_grid():
+    """The Jacobian's builder and closed form are the Vieta kernels
+    themselves, so the Vieta examples pin them."""
+    assert jacobian_matrix is structmat.build_vieta
+    assert jacobian_det_closed is structmat.vieta_det_closed
 
 
-def test_jacobian_det_examples():
-    assert jacobian_det_closed(NodeSet((1, 2, 3))) == -2
-    assert jacobian_det_closed(NodeSet((7, 7))) == 0
-    assert jacobian_det_closed(NodeSet((0, 1))) == -1
+def test_closed_forms_hold_on_the_proof_grid():
+    """A finite proof of every closed form for n <= 5.  det(build(a)) and
+    closed(a) have degree at most n - 1 in each node, so agreeing on a
+    grid of n values per node, here every point of {0, ..., n - 1}^n,
+    proves them equal for every choice of nodes (Alon, "Combinatorial
+    Nullstellensatz", Lemma 2.1).  The proof trusts the oracles on integer
+    matrices.  Its nodes are integers, so it does not cover the closed
+    forms' rational path: the q's and the Q-smooth reduction."""
+    for n in range(1, 6):
+        for point in itertools.product(range(n), repeat=n):
+            ns = NodeSet(point)
+            for kind, (build, closed) in KINDS.items():
+                assert _oracles_give(closed(ns), build(ns, 0)), (kind, point)
 
 
 @example(values=[Fraction(0)])

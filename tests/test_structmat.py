@@ -11,7 +11,6 @@ from vietamat.structmat import (
     ExactMatrix,
     build_vandermonde,
     build_vieta,
-    shift_nodes,
     vandermonde_det_closed,
     vieta_det_closed,
     vieta_extension_poly,
@@ -165,12 +164,6 @@ def test_vandermonde_det_examples():
     assert vandermonde_det_closed(NodeSet((1, 2, 3))) == 2
     assert vandermonde_det_closed(NodeSet((6, 6))) == 0
     assert vandermonde_det_closed(NodeSet((0, 1))) == 1
-
-
-def test_shift_nodes():
-    assert shift_nodes(NodeSet((1, 2, 3)), Fraction(10)) == (-9, -8, -7)
-    assert shift_nodes(NodeSet((1, 2, 3)), Fraction(0)) == (1, 2, 3)
-    assert shift_nodes(NodeSet((5,)), Fraction(5)) == (0,)
 
 
 def test_extension_poly_examples():
