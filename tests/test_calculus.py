@@ -130,11 +130,20 @@ def test_wronskian_matrix_det_matches_closed_at_zero():
     assert det_bareiss(wronskian_matrix(nodal_basis(ns), Fraction(0))) == -4
 
 
-def test_jacobian_is_the_vieta_grid():
-    """The Jacobian's builder and closed form are the Vieta kernels
-    themselves, so the Vieta examples pin them."""
+def test_jacobian_examples():
     assert jacobian_matrix is structmat.build_vieta
+    m = jacobian_matrix(NodeSet((1, 2, 3)))
+    assert m == ExactMatrix.from_rows(((1, 1, 1), (5, 4, 3), (6, 3, 2)))
+    x1, x2 = Fraction(3, 4), Fraction(-1, 6)
+    assert jacobian_matrix(NodeSet((x1, x2))) == ExactMatrix.from_rows(((1, 1), (x2, x1)))
+    assert jacobian_matrix(NodeSet((5,))) == ExactMatrix.from_rows(((1,),))
+
+
+def test_jacobian_det_examples():
     assert jacobian_det_closed is structmat.vieta_det_closed
+    assert jacobian_det_closed(NodeSet((1, 2, 3))) == -2
+    assert jacobian_det_closed(NodeSet((7, 7))) == 0
+    assert jacobian_det_closed(NodeSet((0, 1))) == -1
 
 
 def test_closed_forms_hold_on_the_proof_grid():

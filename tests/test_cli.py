@@ -18,6 +18,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_det_closed(capsys):
+    code, out, _ = run(capsys, "det", "vieta", "--nodes", "1,2,3", "--method", "closed")
+    assert code == 0
+    assert out == "-2\n"
+
+
 def test_det_all_methods_agree(capsys):
     # on integer, rational and repeated nodes; vandermonde carries the n = 3 orientation sign
     expected = {
@@ -48,6 +54,12 @@ def test_det_repeated_nodes(capsys):
     code, out, _ = run(capsys, "det", "vieta", "--nodes", "4,4,9", "--method", "closed")
     assert code == 0
     assert out == "0\n"
+
+
+def test_det_vandermonde(capsys):
+    code, out, _ = run(capsys, "det", "vandermonde", "--nodes", "1,2,3")
+    assert code == 0
+    assert out == "2\n"
 
 
 def test_build_csv(capsys):
