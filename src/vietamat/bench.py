@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .calculus import KINDS
 from .exactdet import METHODS, ORACLES
-from .rational import render_rational
+from .rational import InputError, render_rational
 from .sympoly import NodeSet
 
 
@@ -70,17 +70,17 @@ def run_bench(
 ) -> list[BenchRecord]:
     """One record per (n, method, repeat), in that nesting order."""
     if not n_values or not methods:
-        raise ValueError("benchmark needs at least one size and one method")
+        raise InputError("benchmark needs at least one size and one method")
     if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+        raise InputError("repeats must be at least 1")
     if entry_bits < 1:
-        raise ValueError("entry bits must be at least 1")
+        raise InputError("entry bits must be at least 1")
     for n in n_values:
         if n < 1:
-            raise ValueError("benchmark sizes must be at least 1")
+            raise InputError("benchmark sizes must be at least 1")
     for method in methods:
         if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+            raise InputError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     build, closed = KINDS["vieta"]
     records = []
     for n in n_values:

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: build, det (with wronskian/jacobian shorthands), verify, bench.
-Exit codes: 0 success or all checks passed, 1 verification failures,
-2 input error (including an unreadable or unwritable path), 3 size-guard
-violation (Laplace beyond 8x8), 4 internal error (any other exception:
-one stderr line naming its type, no traceback).
+Exit codes, from the exception's class alone: 0 success or all checks
+passed, 1 verification failures, 2 an `InputError` or a path that cannot
+be read or written, 3 a `SizeGuardError` (Laplace beyond 8x8, or a number
+past the 4 300-digit int str limit), 4 anything else, an internal error:
+one stderr line naming its type, no traceback.
 
 `verify` and `bench` import their modules inside their handlers:
 `build`, `det` and its shorthands need neither, and at CLI sizes a
@@ -19,9 +20,9 @@ import sys
 from pathlib import Path
 
 from .calculus import KINDS
-from .exactdet import METHODS, ORACLES, LaplaceSizeError
+from .exactdet import METHODS, ORACLES
 from .matio import load_nodes_file, matrix_to_csv, matrix_to_json, parse_nodes_text
-from .rational import parse_rational, render_rational
+from .rational import InputError, SizeGuardError, parse_rational, render_rational
 from .sympoly import NodeSet
 
 
@@ -123,13 +124,20 @@ def _cmd_det(args) -> int:
     return 0
 
 
+def _parse_ints(pattern: str, text: str, message: str) -> list[int]:
+    """The ASCII digit runs of `text`, which must fullmatch `pattern`, as
+    ints; a mismatch or a run past int's str-digit limit is an InputError."""
+    if re.fullmatch(pattern, text):
+        try:
+            return [int(digits) for digits in re.findall("[0-9]+", text)]
+        except ValueError:  # the str-digit limit
+            pass
+    raise InputError(message)
+
+
 def _parse_n_range(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
-    if not match:
-        raise ValueError(f"bad n range {text!r}; expected LO..HI or a single size")
-    lo = int(match.group(1))
-    hi = int(match.group(2)) if match.group(2) is not None else lo
-    return lo, hi
+    sizes = _parse_ints(r"[0-9]+(?:\.\.[0-9]+)?", text, f"bad n range {text!r}; expected LO..HI or a single size")
+    return sizes[0], sizes[-1]
 
 
 def _cmd_verify(args) -> int:
@@ -146,10 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(piece) for piece in text.split(",") if piece]
-    except ValueError:
-        raise ValueError(f"bad {what} list {text!r}; expected comma-separated integers") from None
+    return _parse_ints("[0-9,]*", text, f"bad {what} list {text!r}; expected comma-separated integers")
 
 
 def _cmd_bench(args) -> int:
@@ -171,10 +176,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except LaplaceSizeError as exc:
+    except SizeGuardError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:

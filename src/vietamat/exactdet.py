@@ -28,13 +28,14 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import floordiv, mul
 
+from .rational import SizeGuardError
 from .structmat import ExactMatrix
 
 # The largest matrix det_laplace accepts; its work grows as n * 2^n.
 LAPLACE_MAX = 8
 
 
-class LaplaceSizeError(ValueError):
+class LaplaceSizeError(SizeGuardError):
     """Cofactor expansion requested beyond its size guard."""
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .rational import RationalParseError, parse_rational, render_ratio, render_rational
+from .rational import InputError, RationalParseError, parse_rational, render_ratio, render_rational
 from .structmat import ExactMatrix
 from .sympoly import NodeSet
 
 
-class NodesFileError(ValueError):
+class NodesFileError(InputError):
     """A node file is missing, malformed, or off-schema."""
 
 
@@ -54,8 +54,8 @@ def load_nodes_file(path: str | Path) -> NodeSet:
         raise NodesFileError(f"cannot read node file {path}: {exc}") from None
     try:
         data = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise NodesFileError(f"node file {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or a number past the str-digit limit
+        raise NodesFileError(f"cannot parse node file {path} as JSON: {exc}") from None
     if not isinstance(data, dict) or "nodes" not in data:
         raise NodesFileError(f'node file {path} must be an object with a "nodes" key')
     values = data["nodes"]

@@ -11,7 +11,8 @@ Wire syntax (used by the CLI, JSON node files, and CSV matrices):
 an optional sign followed by digits, optionally followed by ``/`` and an
 unsigned nonzero denominator.  No whitespace.  Rendering emits ``n`` when
 the denominator is 1 and ``n/d`` otherwise, so parse/render round-trips
-bit-exactly.
+bit-exactly.  `InputError` and `SizeGuardError`, both `ValueError`s, are
+the CLI's exits 2 and 3.
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from math import gcd
 
 _WIRE_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-class RationalParseError(ValueError):
+
+class InputError(ValueError):
+    """The user's input is malformed or out of range: CLI exit 2."""
+
+
+class SizeGuardError(ValueError):
+    """A valid input past a size limit of this build: CLI exit 3."""
+
+
+class RationalParseError(InputError):
     """Text does not denote a rational in wire syntax."""
 
     def __init__(self, text: str, position: int, reason: str):
@@ -42,12 +52,16 @@ def parse_rational(text: str) -> Fraction:
     if match is None or match.end() != len(text):
         position = match.end() if match is not None else 0
         raise RationalParseError(text, position, "expected integer or numerator/denominator")
-    # The denominator first: a part past the int str-digit limit raises
-    # ValueError, naming the denominator's digits when both parts are long.
-    denominator = int(match.group(2) or 1)
+    # The denominator first, so a zero one is an input error at any length,
+    # and the limit's text names its digits when both parts are too long.
+    try:
+        denominator = int(match.group(2) or 1)
+        numerator = int(match.group(1)) if denominator else 0
+    except ValueError as exc:  # the regex has checked the digits: this is the limit
+        raise SizeGuardError(str(exc)) from None
     if denominator == 0:
         raise RationalParseError(text, match.start(2), "denominator is zero")
-    return Fraction(int(match.group(1)), denominator)
+    return Fraction(numerator, denominator)
 
 
 def as_fraction(value: Fraction | int | str) -> Fraction:
@@ -81,5 +95,8 @@ def render_ratio(numerator: int, denominator: int) -> str:
 
 
 def _wire(numerator: int, denominator: int) -> str:
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError as exc:  # an int past the str-digit limit
+        raise SizeGuardError(str(exc)) from None
 

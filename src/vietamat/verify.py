@@ -36,14 +36,14 @@ from .bench import random_rational, trial_rng
 from .calculus import KINDS, nodal_basis, wronskian_matrix
 from .exactdet import ORACLES
 from .matio import rendered_rows, serialize_nodes
-from .rational import parse_rational, render_rational
+from .rational import InputError, parse_rational, render_rational
 from .structmat import ExactMatrix, vieta_extension_poly
 from .sympoly import DensePolynomial, NodeSet, poly_from_roots, scaled_product
 
 MAX_SEED = 2**64 - 1
 
 
-class UnknownIdentityError(ValueError):
+class UnknownIdentityError(InputError):
     """A verify suite was asked for an identity that does not exist."""
 
 
@@ -59,9 +59,9 @@ class VerifyConfig(collections.namedtuple("VerifyConfig", "n_lo n_hi coeff_bound
 
     def __new__(cls, n_lo: int = 1, n_hi: int = 6, coeff_bound: int = 50):
         if not (1 <= n_lo <= n_hi <= 10):
-            raise ValueError(f"n range must satisfy 1 <= lo <= hi <= 10, got {n_lo}..{n_hi}")
+            raise InputError(f"n range must satisfy 1 <= lo <= hi <= 10, got {n_lo}..{n_hi}")
         if coeff_bound < 1:
-            raise ValueError("coeff bound must be at least 1")
+            raise InputError("coeff bound must be at least 1")
         return super().__new__(cls, n_lo, n_hi, coeff_bound)
 
 
@@ -394,9 +394,9 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
     """Run one identity's randomized trials and aggregate a report."""
     draw, holds = _identity(name)
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise InputError("trials must be at least 1")
     if not (0 <= seed <= MAX_SEED):
-        raise ValueError("seed must be an unsigned 64-bit integer")
+        raise InputError("seed must be an unsigned 64-bit integer")
     failures = 0
     first_counterexample: tuple[str, ...] | None = None
     start = time.perf_counter()
@@ -415,7 +415,7 @@ def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> list[VerifyRe
     name is checked before any identity runs; an empty list is an error."""
     selected = list(IDENTITIES) if names == ["all"] else list(names)
     if not selected:
-        raise ValueError("no identities selected")
+        raise InputError("no identities selected")
     for name in selected:
         _identity(name)
     return [run_identity(name, trials, seed, cfg) for name in selected]

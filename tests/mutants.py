@@ -347,8 +347,8 @@ MUTANTS = (
     Mutant(
         "parse-ignores-denominator",
         "rational.py",
-        "return Fraction(int(match.group(1)), denominator)",
-        "return Fraction(int(match.group(1)))",
+        "return Fraction(numerator, denominator)",
+        "return Fraction(numerator)",
         (
             "tests/test_rational.py::test_parse_canonicalizes",
             "tests/test_rational.py::test_parse_hands_fraction_only_ints",
@@ -396,6 +396,13 @@ MUTANTS = (
         "        return 4",
         "        return 2",
         ("tests/test_cli.py::test_internal_error_exit_code",),
+    ),
+    Mutant(
+        "bare-value-error-as-input",
+        "cli.py",
+        "except (InputError, OSError) as exc:",
+        "except (ValueError, OSError) as exc:",
+        ("tests/test_cli.py::test_library_value_errors_are_internal_errors",),
     ),
     Mutant(
         "det-method-ignored",

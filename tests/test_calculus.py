@@ -146,6 +146,18 @@ def test_jacobian_det_examples():
     assert jacobian_det_closed(NodeSet((0, 1))) == -1
 
 
+def check_proof_grid(n: int) -> None:
+    """Every kind's closed form against the oracles on its build, at every
+    point of {0, ..., n - 1}^n.  CI runs n = 6 on its own:
+
+        PYTHONPATH=src:tests python -c "from test_calculus import check_proof_grid; check_proof_grid(6)"
+    """
+    for point in itertools.product(range(n), repeat=n):
+        ns = NodeSet(point)
+        for kind, (build, closed) in KINDS.items():
+            assert _oracles_give(closed(ns), build(ns, 0)), (kind, point)
+
+
 def test_closed_forms_hold_on_the_proof_grid():
     """A finite proof of every closed form for n <= 5.  det(build(a)) and
     closed(a) have degree at most n - 1 in each node, so agreeing on a
@@ -155,10 +167,7 @@ def test_closed_forms_hold_on_the_proof_grid():
     matrices.  Its nodes are integers, so it does not cover the closed
     forms' rational path: the q's and the Q-smooth reduction."""
     for n in range(1, 6):
-        for point in itertools.product(range(n), repeat=n):
-            ns = NodeSet(point)
-            for kind, (build, closed) in KINDS.items():
-                assert _oracles_give(closed(ns), build(ns, 0)), (kind, point)
+        check_proof_grid(n)
 
 
 @example(values=[Fraction(0)])

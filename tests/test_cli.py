@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,6 +298,58 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         assert err.startswith(f"internal error: {name}: ") and err.count("\n") == 1, err
 
 
+def test_library_value_errors_are_internal_errors(capsys, monkeypatch):
+    """A ValueError that no input causes is a bug in the library: exit 4,
+    never the input error of exit 2."""
+
+    def not_square(ns, at):
+        return structmat.ExactMatrix([[1, 2]], [1, 1])
+
+    def raises(inputs):
+        raise ValueError("a law that raises")
+
+    monkeypatch.setitem(calculus.KINDS, "vieta", (not_square, calculus.KINDS["vieta"][1]))
+    monkeypatch.setitem(IDENTITIES, "raises", Identity(lambda rng, cfg: None, raises))
+    for argv in (
+        ("build", "vieta", "--nodes", "1,2"),
+        ("det", "vieta", "--nodes", "1,2", "--method", "bareiss"),
+        ("verify", "--suite", "raises", "--trials", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("internal error: ValueError: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str-digit limit")
+def test_numbers_past_the_digit_limit_are_size_guard_errors(capsys):
+    """Valid inputs whose numbers pass the interpreter's 4 300-digit int str
+    limit exit 3, a limit of this build, not 2, an input error."""
+    for argv in (
+        ("bench", "--n", "40", "--methods", "closed"),
+        ("det", "vieta", "--nodes", ",".join(map(str, range(1, 400)))),
+        ("det", "vieta", "--nodes", "7" * 5000),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv[:3]
+        assert err.startswith("error: ") and "4300" in err, err
+
+
+def test_other_scripts_digits_and_overlong_numbers_are_input_errors(capsys, tmp_path):
+    """The CLI's integers take ASCII digits only, as its rationals do, and
+    a size or a node-file number past the digit limit is an input error."""
+    path = tmp_path / "nodes.json"
+    path.write_text('{"nodes": [' + "7" * 5000 + "]}")
+    for argv, message in (
+        (("verify", "--n", "9" * 5000), "error: bad n range"),
+        (("verify", "--n", "\u0661..\u0663"), "error: bad n range"),
+        (("bench", "--n", "\u0663"), "error: bad size list"),
+        (("det", "vieta", "--nodes-file", str(path)), f"error: cannot parse node file {path}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith(message), err
+
+
 def test_bench_rows_and_hash_agreement(capsys):
     code, out, _ = run(capsys, "bench", "--n", "2,3", "--methods", "closed,bareiss,laplace", "--repeats", "2")
     assert code == 0
@@ -508,9 +563,9 @@ node_sources = st.one_of(
 )
 @example(command="det", kind="vieta", source=("inline", list("123456789")), at=None, method="laplace", fmt="json")
 def test_random_argv_exits_with_a_documented_code(capsys, tmp_path, command, kind, source, at, method, fmt):
-    """Whatever the input, the CLI exits 0, 2 or 3 and prints no traceback.
-    Up to nine nodes, so Laplace meets its 8x8 guard; the explicit example
-    always does."""
+    """Whatever the input, the CLI exits 0, 2 or 3 and prints no traceback,
+    and a determinant that exits 0 is the right one.  Up to nine nodes, so
+    Laplace meets its 8x8 guard; the explicit example always does."""
     argv = [command, kind] if command in ("det", "build") else [command]
     argv += ["--format", fmt] if command == "build" else ["--method", method]
     where, payload = source
@@ -523,7 +578,24 @@ def test_random_argv_exits_with_a_documented_code(capsys, tmp_path, command, kin
         argv += ["--nodes-file", str(path)]
     if at is not None:
         argv.append(f"--at={at}")
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     event(f"exit {code}")
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
+    if code == 0 and command != "build":
+        texts = payload if where == "inline" else json.loads(payload)["nodes"]
+        assert out == f"{difference_product(kind if command == 'det' else command, texts)}\n", argv
+
+
+def difference_product(kind, texts):
+    """A kind's determinant from Fractions alone: prod_{i<k} (a_i - a_k),
+    with the Vandermonde's sign (-1)^(n(n-1)/2) and the Wronskian's
+    prod_{k<n} k!."""
+    nodes = [Fraction(text) for text in texts]
+    n = len(nodes)
+    value = math.prod(a - b for a, b in itertools.combinations(nodes, 2))
+    if kind == "vandermonde":
+        value *= (-1) ** (n * (n - 1) // 2)
+    if kind == "wronskian":
+        value *= math.prod(map(math.factorial, range(n)))
+    return value

@@ -73,7 +73,7 @@ def test_parse_zero_denominator():
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str-digit limit")
 def test_parse_over_the_digit_limit_names_the_denominator_first():
-    # ValueError, not RationalParseError: the CLI exits 2 with int's text.
+    # A SizeGuardError, not a RationalParseError: the CLI exits 3 with int's text.
     with pytest.raises(ValueError, match="value has 4500 digits") as excinfo:
         parse_rational("7" * 4400 + "/" + "3" * 4500)
     assert not isinstance(excinfo.value, RationalParseError)
