@@ -51,18 +51,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run randomized identity checks, one JSON line each")
     p_verify.add_argument("--suite", default="all", help="comma-separated identity names, or 'all'")
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=0, help="unsigned 64-bit master seed")
+    p_verify.add_argument("--trials", type=_int_option, default=100)
+    p_verify.add_argument("--seed", type=_int_option, default=0, help="unsigned 64-bit master seed")
     p_verify.add_argument("--n", default="1..6", help="node-count range LO..HI (within 1..10)")
-    p_verify.add_argument("--coeff-bound", type=int, default=50, help="numerator/denominator bound")
+    p_verify.add_argument("--coeff-bound", type=_int_option, default=50, help="numerator/denominator bound")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time determinant methods, one CSV row per run")
     p_bench.add_argument("--n", required=True, help="comma-separated sizes, e.g. 4,8,16")
     p_bench.add_argument("--methods", default="closed,bareiss", help=f"subset of: {','.join(METHODS)}")
-    p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.add_argument("--entry-bits", type=int, default=16, help="bit length of numerators/denominators")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--repeats", type=_int_option, default=1)
+    p_bench.add_argument("--entry-bits", type=_int_option, default=16, help="bit length of numerators/denominators")
+    p_bench.add_argument("--seed", type=_int_option, default=0)
     p_bench.add_argument("--out", help="write CSV to this path instead of stdout")
     p_bench.set_defaults(handler=_cmd_bench)
 
@@ -125,14 +125,24 @@ def _cmd_det(args) -> int:
 
 
 def _parse_ints(pattern: str, text: str, message: str) -> list[int]:
-    """The ASCII digit runs of `text`, which must fullmatch `pattern`, as
-    ints; a mismatch or a run past int's str-digit limit is an InputError."""
+    """The ASCII integers of `text` (digit runs, each after an optional
+    '-'), which must fullmatch `pattern`, as ints; a mismatch or a run past
+    int's str-digit limit is an InputError."""
     if re.fullmatch(pattern, text):
         try:
-            return [int(digits) for digits in re.findall("[0-9]+", text)]
+            return [int(digits) for digits in re.findall("-?[0-9]+", text)]
         except ValueError:  # the str-digit limit
             pass
     raise InputError(message)
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value: ASCII digits after an optional '-', the
+    grammar of `_parse_ints`.  argparse prints anything else and exits 2."""
+    try:
+        return _parse_ints("-?[0-9]+", text, f"invalid int value: {text!r}")[0]
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:

@@ -129,11 +129,22 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 Identity = collections.namedtuple("Identity", "draw holds")
 
 
-def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
-    """Every oracle within its reach equals `value` on `matrix`; they run
-    in table order, up to the first that differs."""
-    n = len(matrix.numerators)
+def _oracles_give(value: Fraction, matrix: ExactMatrix, n: int | None = None) -> bool:
+    """Every oracle whose reach admits n, the matrix's size unless given,
+    equals `value` on `matrix`; they run in table order, up to the first
+    that differs.  A minor passes its trial's n, so that a trial above an
+    oracle's reach never runs that oracle."""
+    n = len(matrix.numerators) if n is None else n
     return all(det(matrix) == value for det, reach in ORACLES.values() if reach is None or n <= reach)
+
+
+def _kind_gives(kind, nodes, value, at=Fraction(0)):
+    """The build of `KINDS[kind]` over `nodes` at `at`, when the kind's
+    closed form on `nodes` is `value` and every oracle within its reach
+    gives `value` on that build; otherwise None."""
+    build, closed = KINDS[kind]
+    matrix = build(nodes, at)
+    return matrix if closed(nodes) == value and _oracles_give(value, matrix) else None
 
 
 def _smallest_reach() -> int | None:
@@ -193,20 +204,26 @@ def _closed_form(kind, ns):
     """Every oracle within its reach gives the closed form of `KINDS[kind]`
     on its matrix at the default point 0.  For "vieta" this is theorem 1;
     for "vandermonde", (-1)^{n(n-1)/2} times it, the sign between the two
-    product orientations."""
-    build, closed = KINDS[kind]
-    return None if _oracles_give(closed(ns), build(ns, Fraction(0))) else serialize_nodes(ns)
+    product orientations.  For n >= 2 they also give, on the minor without
+    the last row and column 0, the closed form on the nodes without node
+    0; a build fault that keeps det, such as column 0 added to column 1,
+    changes that minor."""
+    closed = KINDS[kind][1]
+    matrix = _kind_gives(kind, ns, closed(ns))
+    if matrix is None:
+        return serialize_nodes(ns)
+    if len(ns) == 1:
+        return None
+    minor = ExactMatrix((row[1:] for row in matrix.numerators[:-1]), matrix.denominators[1:])
+    return None if _oracles_give(closed(NodeSet(ns[1:])), minor, len(ns)) else serialize_nodes(ns)
 
 
 def _corollary1(inputs):
     """Shifting every node by c leaves the closed form unchanged, and every
     oracle within its reach gives it on the shifted nodes' matrix."""
     ns, c = inputs
-    shifted = NodeSet(a - c for a in ns)
-    build, closed = KINDS["vieta"]
-    value = closed(ns)
-    holds = closed(shifted) == value and _oracles_give(value, build(shifted, Fraction(0)))
-    return None if holds else serialize_nodes(ns)
+    shifted = _kind_gives("vieta", NodeSet(a - c for a in ns), KINDS["vieta"][1](ns))
+    return None if shifted is not None else serialize_nodes(ns)
 
 
 def _antisymmetry(inputs):
@@ -215,25 +232,19 @@ def _antisymmetry(inputs):
     ns, (i, j) = inputs
     order = list(range(len(ns)))
     order[i], order[j] = j, i
-    swapped = NodeSet(ns[c] for c in order)
     build, closed = KINDS["vieta"]
-    value = -closed(ns)
-    matrix = build(swapped, Fraction(0))
-    if closed(swapped) != value or matrix != _reorder_columns(build(ns, Fraction(0)), order):
-        return serialize_nodes(ns)
-    return None if _oracles_give(value, matrix) else serialize_nodes(ns)
+    matrix = _kind_gives("vieta", NodeSet(ns[c] for c in order), -closed(ns))
+    holds = matrix is not None and matrix == _reorder_columns(build(ns, Fraction(0)), order)
+    return None if holds else serialize_nodes(ns)
 
 
 def _extension(inputs):
     """Appending a probe node x0 gives the degree-n extension polynomial's
-    value f(x0) from every oracle within its reach."""
+    value f(x0) as the closed form and from every oracle within its reach."""
     ns, probes = inputs
     f = vieta_extension_poly(ns)
-    build = KINDS["vieta"][0]
-    for x0 in probes:
-        if not _oracles_give(f(x0), build(NodeSet(ns + (x0,)), Fraction(0))):
-            return serialize_nodes(ns)
-    return None
+    holds = all(_kind_gives("vieta", NodeSet(ns + (x0,)), f(x0)) is not None for x0 in probes)
+    return None if holds else serialize_nodes(ns)
 
 
 def _degenerate(inputs):
@@ -249,20 +260,15 @@ def _degenerate(inputs):
     else:
         nodes[i] = nodes[j] = Fraction(0)
     degenerate = NodeSet(nodes)
-    build, closed = KINDS["vieta"]
-    matrix = build(degenerate, Fraction(0))
-    if closed(degenerate) != 0 or not _oracles_give(Fraction(0), matrix):
+    matrix = _kind_gives("vieta", degenerate, Fraction(0))
+    if matrix is None or (nodes.count(Fraction(0)) >= 2 and any(matrix.numerators[-1])):
         return serialize_nodes(degenerate)
-    if nodes.count(Fraction(0)) >= 2 and any(matrix.numerators[-1]):
-        return serialize_nodes(degenerate)
-    drawn = build(ns, Fraction(0))
+    drawn = KINDS["vieta"][0](ns, Fraction(0))
     doubled = ExactMatrix(
         [row[:j] + (2 * row[i],) + row[j + 1:] for row in drawn.numerators],
         drawn.denominators[:j] + drawn.denominators[i:i + 1] + drawn.denominators[j + 1:],
     )
-    if not _oracles_give(Fraction(0), doubled):
-        return serialize_nodes(ns)
-    return None
+    return None if _oracles_give(Fraction(0), doubled) else serialize_nodes(ns)
 
 
 def _recombination(ns):
@@ -296,22 +302,18 @@ def _wronskian(inputs):
     `wronskian_matrix` of the nodal basis, and its determinant is
     probe-independent and matches the factorial-scaled closed form."""
     ns, probes = inputs
-    build, closed = KINDS["wronskian"]
     basis = nodal_basis(ns)
-    value = closed(ns)
-    for x0 in probes:
-        matrix = build(ns, x0)
-        if matrix != wronskian_matrix(basis, x0) or not _oracles_give(value, matrix):
-            return serialize_nodes(ns)
-    return None
+    value = KINDS["wronskian"][1](ns)
+    # a build that fails its closed form or an oracle is None, which equals no matrix
+    holds = all(_kind_gives("wronskian", ns, value, x0) == wronskian_matrix(basis, x0) for x0 in probes)
+    return None if holds else serialize_nodes(ns)
 
 
 def _jacobian(point):
     """Determinant matches the closed form; every partial equals its
     symmetric difference quotient, so the matrix is the e_k grid."""
-    build, closed = KINDS["jacobian"]
-    matrix = build(point, Fraction(0))
-    if not _oracles_give(closed(point), matrix):
+    matrix = _kind_gives("jacobian", point, KINDS["jacobian"][1](point))
+    if matrix is None:
         return serialize_nodes(point)
     h = Fraction(1, 7)
     for c, a in enumerate(point):

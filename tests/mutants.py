@@ -75,17 +75,48 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "corollary1-no-oracles",
+        "helper-no-oracles",
         "verify.py",
-        " and _oracles_give(value, build(shifted, Fraction(0)))",
-        "",
+        "closed(nodes) == value and _oracles_give(value, matrix)",
+        "closed(nodes) == value",
+        (
+            "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[theorem1]",
+            "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",
+            "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[wronskian]",
+            "tests/test_verify.py::test_closed_form_identities_run_laplace",
+        ),
+    ),
+    Mutant(
+        "helper-no-closed-form",
+        "verify.py",
+        "closed(nodes) == value and _oracles_give",
+        "_oracles_give",
+        ("tests/test_verify.py::test_identity_checks_the_tables_closed_form[extension-vieta]",),
+    ),
+    Mutant(
+        "minor-at-the-last-column",
+        "verify.py",
+        "(row[1:] for row in matrix.numerators[:-1]), matrix.denominators[1:])\n"
+        "    return None if _oracles_give(closed(NodeSet(ns[1:]))",
+        "(row[:-1] for row in matrix.numerators[:-1]), matrix.denominators[:-1])\n"
+        "    return None if _oracles_give(closed(NodeSet(ns[:-1]))",
+        (
+            "tests/test_verify.py::test_each_law_sees_a_planted_fault[theorem1]",
+            "tests/test_verify.py::test_each_law_sees_a_planted_fault[sign_bridge]",
+        ),
+    ),
+    Mutant(
+        "corollary1-no-check",
+        "verify.py",
+        'shifted = _kind_gives("vieta", NodeSet(a - c for a in ns), KINDS["vieta"][1](ns))',
+        "shifted = ns",
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[corollary1]",),
     ),
     Mutant(
-        "antisymmetry-no-oracles",
+        "antisymmetry-no-check",
         "verify.py",
-        "return None if _oracles_give(value, matrix) else serialize_nodes(ns)",
-        "return None",
+        'matrix = _kind_gives("vieta", NodeSet(ns[c] for c in order), -closed(ns))',
+        "matrix = build(NodeSet(ns[c] for c in order), Fraction(0))",
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[antisymmetry]",),
     ),
     Mutant(
@@ -101,10 +132,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "extension-no-oracles",
+        "extension-no-check",
         "verify.py",
-        "if not _oracles_give(f(x0), build(NodeSet(ns + (x0,)), Fraction(0))):",
-        "if False:",
+        '_kind_gives("vieta", NodeSet(ns + (x0,)), f(x0)) is not None for x0 in probes',
+        "True for x0 in probes",
         ("tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",),
     ),
     Mutant(
@@ -261,8 +292,8 @@ MUTANTS = (
     Mutant(
         "wronskian-no-route-check",
         "verify.py",
-        "matrix != wronskian_matrix(basis, x0) or ",
-        "",
+        '_kind_gives("wronskian", ns, value, x0) == wronskian_matrix(basis, x0)',
+        '_kind_gives("wronskian", ns, value, x0) is not None',
         ("tests/test_verify.py::test_wronskian_compares_the_kinds_build_with_the_taylor_route",),
     ),
     Mutant(
@@ -403,6 +434,13 @@ MUTANTS = (
         "except (InputError, OSError) as exc:",
         "except (ValueError, OSError) as exc:",
         ("tests/test_cli.py::test_library_value_errors_are_internal_errors",),
+    ),
+    Mutant(
+        "int-option-any-grammar",
+        "cli.py",
+        'p_verify.add_argument("--trials", type=_int_option',
+        'p_verify.add_argument("--trials", type=int',
+        ("tests/test_cli.py::test_integer_options_take_ascii_digits_only[verify--trials]",),
     ),
     Mutant(
         "det-method-ignored",

@@ -350,6 +350,34 @@ def test_other_scripts_digits_and_overlong_numbers_are_input_errors(capsys, tmp_
         assert err.startswith(message), err
 
 
+# each integer option, after arguments that make a valid value run briefly
+INT_OPTIONS = [
+    ("verify", "--suite", "roundtrip", "--trials"),
+    ("verify", "--suite", "roundtrip", "--trials", "1", "--seed"),
+    ("verify", "--suite", "roundtrip", "--trials", "1", "--coeff-bound"),
+    ("bench", "--n", "2", "--methods", "closed", "--repeats"),
+    ("bench", "--n", "2", "--methods", "closed", "--entry-bits"),
+    ("bench", "--n", "2", "--methods", "closed", "--seed"),
+]
+
+
+@pytest.mark.parametrize("argv", INT_OPTIONS, ids=lambda argv: argv[0] + argv[-1])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    """Every integer option takes ASCII digits after an optional '-', as
+    `--n` does.  Other scripts' digits, '_' separators and surrounding
+    whitespace, which `int` takes, exit 2."""
+    for text in ("\u0663", "4_2", " 4"):
+        code, out, err = run(capsys, *argv, text)
+        assert (code, out) == (2, ""), text
+        assert f"argument {argv[-1]}: invalid int value: {text!r}" in err, err
+    assert run(capsys, *argv, "3")[0] == 0
+
+
+def test_bench_takes_a_negative_seed(capsys):
+    code, out, _ = run(capsys, "bench", "--n", "2", "--methods", "closed", "--seed=-5")
+    assert code == 0 and out.startswith("closed,2,16,")
+
+
 def test_bench_rows_and_hash_agreement(capsys):
     code, out, _ = run(capsys, "bench", "--n", "2,3", "--methods", "closed,bareiss,laplace", "--repeats", "2")
     assert code == 0

@@ -208,6 +208,7 @@ CLOSED_FORM_IDENTITIES = [
     ("corollary1", "vieta"),
     ("sign_bridge", "vandermonde"),
     ("antisymmetry", "vieta"),
+    ("extension", "vieta"),
     ("degenerate", "vieta"),
     ("wronskian", "wronskian"),
     ("jacobian", "jacobian"),
@@ -216,7 +217,6 @@ CLOSED_FORM_IDENTITIES = [
 
 # every identity that consults the oracles
 ORACLE_IDENTITIES = [identity for identity, _ in CLOSED_FORM_IDENTITIES] + [
-    "extension",
     "oracle_agreement",
     "multilinearity",
 ]
@@ -329,6 +329,20 @@ def _transposed(ns, at):
     return structmat.ExactMatrix(zip(*cleared), [scale] * len(cleared))
 
 
+def _column_0_into_column_1(build):
+    """`build` with column 0 added to column 1, which keeps det."""
+
+    def planted(ns, at):
+        m = build(ns)
+        d0, d1 = m.denominators[:2]
+        return structmat.ExactMatrix(
+            (row[:1] + (row[0] * d1 + row[1] * d0,) + row[2:] for row in m.numerators),
+            m.denominators[:1] + (d0 * d1,) + m.denominators[2:],
+        )
+
+    return planted
+
+
 def _rotated_basis(ns):
     basis = calculus.nodal_basis(ns)
     return basis[1:] + basis[:1]
@@ -341,6 +355,12 @@ def _unsigned(r):
 # identity -> (table or module, name, planted value): each plant breaks
 # what its identity checks
 PLANTED_FAULTS = {
+    "theorem1": (calculus.KINDS, "vieta", (_column_0_into_column_1(structmat.build_vieta), structmat.vieta_det_closed)),
+    "sign_bridge": (
+        calculus.KINDS,
+        "vandermonde",
+        (_column_0_into_column_1(structmat.build_vandermonde), structmat.vandermonde_det_closed),
+    ),
     "antisymmetry": (calculus.KINDS, "vieta", (_rotated_columns, structmat.vieta_det_closed)),
     "permutation": (calculus.KINDS, "vieta", (_rotated_columns, structmat.vieta_det_closed)),
     "leave_one_out": (calculus.KINDS, "vieta", (_rotated_columns, structmat.vieta_det_closed)),
@@ -356,7 +376,8 @@ def test_each_law_sees_a_planted_fault(monkeypatch, identity):
     """Rotating the stored columns keeps |det|, and transposing keeps det,
     so only a law that compares the matrix itself sees them.  A last row
     equal to row 0 gives det 0 as the repeated nodes do, so only the
-    two-zeros row check of `degenerate` sees it."""
+    two-zeros row check of `degenerate` sees it.  Column 0 added to
+    column 1 keeps det, so only the minor without column 0 sees it."""
     where, name, value = PLANTED_FAULTS[identity]
     if isinstance(where, dict):
         monkeypatch.setitem(where, name, value)
