@@ -11,8 +11,6 @@ tooling.  The seeded draws (`trial_rng`, `random_rational`) live here and
 verify imports them, so `bench` runs without loading verify.
 """
 
-from __future__ import annotations
-
 import hashlib
 import random
 import time
@@ -61,13 +59,7 @@ def bench_node_set(seed: int, n: int, entry_bits: int) -> NodeSet:
     return NodeSet(random_rational(rng, top) for _ in range(n))
 
 
-def run_bench(
-    n_values: list[int],
-    methods: list[str],
-    repeats: int = 1,
-    entry_bits: int = 16,
-    seed: int = 0,
-) -> list[BenchRecord]:
+def run_bench(n_values: list[int], methods: list[str], repeats: int, entry_bits: int, seed: int) -> list[BenchRecord]:
     """One record per (n, method, repeat), in that nesting order."""
     if not n_values or not methods:
         raise InputError("benchmark needs at least one size and one method")

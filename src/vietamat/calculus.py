@@ -8,8 +8,6 @@ Wronskian is constant); the Jacobian matrix of (e_1, ..., e_n) is
 literally the leave-one-out grid, entry for entry.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import Sequence

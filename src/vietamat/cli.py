@@ -12,8 +12,6 @@ one stderr line naming its type, no traceback.
 command's wall time is mostly interpreter start and imports.
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys
@@ -157,20 +155,24 @@ def _cmd_verify(args) -> int:
     cfg = VerifyConfig(n_lo=lo, n_hi=hi, coeff_bound=args.coeff_bound)
     names = [s for s in args.suite.split(",") if s]
     reports = run_suite(names, args.trials, args.seed, cfg)
+    sys.stderr.write(
+        f"# verify --seed {args.seed} --n {lo}..{hi} --coeff-bound {cfg.coeff_bound} --trials {args.trials}\n"
+    )
     for report in reports:
         sys.stdout.write(report.json_line() + "\n")
-        sys.stderr.write(f"# {report.identity}: {report.elapsed_ms} ms\n")
+        failure = "" if report.first_failure is None else f", first failure at trial {report.first_failure}"
+        sys.stderr.write(f"# {report.identity}: {report.elapsed_ms} ms{failure}\n")
     return 0 if all(r.failures == 0 for r in reports) else 1
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    return _parse_ints("[0-9,]*", text, f"bad {what} list {text!r}; expected comma-separated integers")
+def _parse_int_list(text: str) -> list[int]:
+    return _parse_ints("[0-9,]*", text, f"bad size list {text!r}; expected comma-separated integers")
 
 
 def _cmd_bench(args) -> int:
     from .bench import run_bench
 
-    n_values = _parse_int_list(args.n, "size")
+    n_values = _parse_int_list(args.n)
     methods = [m for m in args.methods.split(",") if m]
     records = run_bench(n_values, methods, args.repeats, args.entry_bits, args.seed)
     _emit("".join(record.csv_row() + "\n" for record in records), args.out)

@@ -22,8 +22,6 @@ Neither oracle knows the matrix's structure.
 the largest n it accepts or None: the one list of oracles and reaches.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, prod
 from operator import floordiv, mul

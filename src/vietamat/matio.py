@@ -12,8 +12,6 @@ renderings of a matrix carry the same canonical entries, so any reader
 of the wire syntax parses both back to identical values.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 
 from .rational import InputError, RationalParseError, parse_rational, render_ratio, render_rational

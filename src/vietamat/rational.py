@@ -15,8 +15,6 @@ bit-exactly.  `InputError` and `SizeGuardError`, both `ValueError`s, are
 the CLI's exits 2 and 3.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import gcd
@@ -37,7 +35,6 @@ class RationalParseError(InputError):
 
     def __init__(self, text: str, position: int, reason: str):
         super().__init__(f"invalid rational {text!r} at position {position}: {reason}")
-        self.text = text
         self.position = position
         self.reason = reason
 

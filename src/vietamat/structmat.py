@@ -8,11 +8,8 @@ prod_{k>i} (a_k - a_i), and the two products differ exactly by the sign
 (-1)^{n(n-1)/2}.
 """
 
-from __future__ import annotations
-
 import numbers
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple
@@ -27,8 +24,8 @@ class ExactMatrix:
     Stored as int `numerators`, row-major, over one `denominators[j]` >= 1
     per column: entry (r, j) is numerators[r][j] / denominators[j], and
     the scale need not be the least one.  `entries`, the canonical
-    Fraction rows, is made on first read.  Equality compares values, not
-    scales, by cross-multiplying the stored ints, so it builds no
+    Fraction rows, is built anew on each read.  Equality compares values,
+    not scales, by cross-multiplying the stored ints, so it builds no
     Fraction; instances are not hashable.  Treat them as immutable.
 
     `ExactMatrix(numerators, denominators)` takes the integer form and
@@ -59,7 +56,7 @@ class ExactMatrix:
             [[e.numerator * (d // e.denominator) for e, d in zip(row, denominators)] for row in rows], denominators
         )
 
-    @cached_property
+    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(e, d) for e, d in zip(row, self.denominators)) for row in self.numerators)
 

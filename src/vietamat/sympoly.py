@@ -7,8 +7,6 @@ omitted.  Polynomial coefficients are stored in ascending degree, as
 ints over one denominator; no numerators at all is the zero polynomial.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Iterable
 

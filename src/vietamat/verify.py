@@ -20,8 +20,6 @@ same way and share one `holds`, bound to the kinds "vieta" and
 "vandermonde" of `KINDS`.  Tests feed their own inputs to `holds`.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import itertools
@@ -66,20 +64,27 @@ class VerifyConfig(collections.namedtuple("VerifyConfig", "n_lo n_hi coeff_bound
 
 
 class VerifyReport(NamedTuple):
-    """Outcome of one identity's randomized trials."""
+    """Outcome of one identity's randomized trials.
+
+    `first_failure` is the index t of the first failing trial, or None:
+    `holds(draw(trial_rng(seed, identity, t), cfg))` replays it and returns
+    `first_counterexample`.
+    """
 
     identity: str
     trials: int
     failures: int
     seed: int
     first_counterexample: tuple[str, ...] | None
+    first_failure: int | None
     elapsed_ms: int
 
     def json_line(self) -> str:
-        """Deterministic JSON projection; timing is excluded so reruns
-        with the same seed match byte for byte."""
+        """Deterministic JSON projection; the trial index and the timing,
+        which the CLI writes to stderr, are excluded, so reruns with the
+        same seed match byte for byte."""
         payload = self._asdict()
-        del payload["elapsed_ms"]
+        del payload["first_failure"], payload["elapsed_ms"]
         return json.dumps(payload)
 
 
@@ -400,16 +405,16 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
     if not (0 <= seed <= MAX_SEED):
         raise InputError("seed must be an unsigned 64-bit integer")
     failures = 0
-    first_counterexample: tuple[str, ...] | None = None
+    first_failure = first_counterexample = None
     start = time.perf_counter()
     for trial in range(trials):
         counterexample = holds(draw(trial_rng(seed, name, trial), cfg))
         if counterexample is not None:
             failures += 1
             if first_counterexample is None:
-                first_counterexample = counterexample
+                first_failure, first_counterexample = trial, counterexample
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerifyReport(name, trials, failures, seed, first_counterexample, elapsed_ms)
+    return VerifyReport(name, trials, failures, seed, first_counterexample, first_failure, elapsed_ms)
 
 
 def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> list[VerifyReport]:

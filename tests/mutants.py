@@ -443,6 +443,23 @@ MUTANTS = (
         ("tests/test_cli.py::test_integer_options_take_ascii_digits_only[verify--trials]",),
     ),
     Mutant(
+        "verify-header-no-n",
+        "cli.py",
+        " --n {lo}..{hi}",
+        "",
+        ("tests/test_cli.py::test_verify_stderr_names_what_produced_stdout",),
+    ),
+    Mutant(
+        "first-failure-off-by-one",
+        "verify.py",
+        "first_failure, first_counterexample = trial, counterexample",
+        "first_failure, first_counterexample = trial + 1, counterexample",
+        (
+            "tests/test_verify.py::test_first_failing_trial_replays",
+            "tests/test_cli.py::test_verify_failure_exit_code",
+        ),
+    ),
+    Mutant(
         "det-method-ignored",
         "cli.py",
         'if args.method == "closed":',

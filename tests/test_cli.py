@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -209,6 +210,19 @@ def test_verify_single_suite(capsys):
     assert "sign_bridge" in err  # timing goes to stderr
 
 
+def test_verify_stderr_names_what_produced_stdout(capsys):
+    """Passing runs over different n ranges print the same stdout; the
+    stderr line before the identities' lines names the seed, the n range,
+    the coefficient bound and the trials."""
+    argv = ("verify", "--suite", "theorem1,roundtrip", "--trials", "20", "--seed", "42")
+    code, out, err = run(capsys, *argv, "--n", "9..10")
+    default_code, default_out, default_err = run(capsys, *argv)
+    assert code == default_code == 0 and out == default_out
+    assert err.splitlines()[0] == "# verify --seed 42 --n 9..10 --coeff-bound 50 --trials 20"
+    assert default_err.splitlines()[0] == "# verify --seed 42 --n 1..6 --coeff-bound 50 --trials 20"
+    assert [re.fullmatch(r"# (\w+): [0-9]+ ms", line)[1] for line in err.splitlines()[1:]] == ["theorem1", "roundtrip"]
+
+
 def test_verify_runs_every_identity_at_coeff_bound_1(capsys):
     """Bound 1 draws only -1, 0 and 1, so most node sets repeat a node;
     every identity still runs and passes."""
@@ -269,11 +283,12 @@ def test_verify_bad_trials(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(IDENTITIES, "always_fails", Identity(lambda rng, cfg: None, lambda inputs: ("1",)))
-    code, out, _ = run(capsys, "verify", "--suite", "always_fails", "--trials", "3")
+    code, out, err = run(capsys, "verify", "--suite", "always_fails", "--trials", "3")
     assert code == 1
     payload = json.loads(out.strip())
     assert payload["failures"] == 3
     assert payload["first_counterexample"] == ["1"]
+    assert re.fullmatch(r"# always_fails: [0-9]+ ms, first failure at trial 0", err.splitlines()[1]), err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from vietamat import calculus, exactdet, structmat, verify
+from vietamat.matio import serialize_nodes
 from vietamat.rational import render_rational
 from vietamat.verify import (
     IDENTITIES,
@@ -77,6 +78,7 @@ def test_run_identity_report_shape():
     assert report.failures == 0
     assert report.seed == 42
     assert report.first_counterexample is None
+    assert report.first_failure is None
     assert report.elapsed_ms >= 0
 
 
@@ -121,6 +123,23 @@ def test_failure_accounting(monkeypatch):
     assert report.first_counterexample == ("1", "2")
     line = json.loads(report.json_line())
     assert line["first_counterexample"] == ["1", "2"]
+
+
+def _fails_below_3_nodes(ns):
+    return serialize_nodes(ns) if len(ns) < 3 else None
+
+
+def test_first_failing_trial_replays(monkeypatch):
+    """`first_failure` t replays: trial t's own draws give the report's
+    first counterexample, and every trial before t passes."""
+    monkeypatch.setitem(IDENTITIES, "planted", Identity(random_node_set, _fails_below_3_nodes))
+    cfg = VerifyConfig()
+    report = run_identity("planted", 20, 42, cfg)
+    t = report.first_failure
+    assert report.failures > 0 and t >= 1
+    draw, holds = IDENTITIES["planted"]
+    assert holds(draw(trial_rng(42, "planted", t), cfg)) == report.first_counterexample
+    assert all(holds(draw(trial_rng(42, "planted", s), cfg)) is None for s in range(t))
 
 
 def test_every_identity_runs_on_forced_repeats():
