@@ -5,7 +5,8 @@ Exit codes, from the exception's class alone: 0 success or all checks
 passed, 1 verification failures, 2 an `InputError` or a path that cannot
 be read or written, 3 a `SizeGuardError` (Laplace beyond 8x8, or a number
 past the 4 300-digit int str limit), 4 anything else, an internal error:
-one stderr line naming its type, no traceback.
+one stderr line naming its type, no traceback.  `verify` writes each
+identity's report as it finishes, so an error keeps the reports before it.
 
 `verify` and `bench` import their modules inside their handlers:
 `build`, `det` and its shorthands need neither, and at CLI sizes a
@@ -158,11 +159,14 @@ def _cmd_verify(args) -> int:
     sys.stderr.write(
         f"# verify --seed {args.seed} --n {lo}..{hi} --coeff-bound {cfg.coeff_bound} --trials {args.trials}\n"
     )
+    failed = False
     for report in reports:
         sys.stdout.write(report.json_line() + "\n")
+        sys.stdout.flush()
         failure = "" if report.first_failure is None else f", first failure at trial {report.first_failure}"
         sys.stderr.write(f"# {report.identity}: {report.elapsed_ms} ms{failure}\n")
-    return 0 if all(r.failures == 0 for r in reports) else 1
+        failed |= report.failures > 0
+    return 1 if failed else 0
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -33,10 +33,6 @@ from .structmat import ExactMatrix
 LAPLACE_MAX = 8
 
 
-class LaplaceSizeError(SizeGuardError):
-    """Cofactor expansion requested beyond its size guard."""
-
-
 def det_laplace(m: ExactMatrix) -> Fraction:
     """Determinant by cofactor expansion along the first row, built
     bottom-up over column sets.
@@ -49,14 +45,13 @@ def det_laplace(m: ExactMatrix) -> Fraction:
     coeff * minor is negated when an odd number of mask's columns lie
     below coeff's column.  The terms are the textbook expansion's, term
     for term, two levels are held at once, and a minor no term reaches (a
-    zero column's) is 0.  Sizes beyond LAPLACE_MAX raise LaplaceSizeError
+    zero column's) is 0.  Sizes beyond LAPLACE_MAX raise SizeGuardError
     rather than silently switching algorithm.
     """
     n = len(m.numerators)
     if n > LAPLACE_MAX:
-        raise LaplaceSizeError(
-            f"det_laplace is limited to {LAPLACE_MAX}x{LAPLACE_MAX}, got {n}x{n}; "
-            "bareiss has no size limit"
+        raise SizeGuardError(
+            f"det_laplace is limited to {LAPLACE_MAX}x{LAPLACE_MAX}, got {n}x{n}; bareiss has no size limit"
         )
     minors = {1 << j: coeff for j, coeff in enumerate(m.numerators[-1]) if coeff}
     for row in reversed(m.numerators[:-1]):

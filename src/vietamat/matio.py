@@ -19,10 +19,6 @@ from .structmat import ExactMatrix
 from .sympoly import NodeSet
 
 
-class NodesFileError(InputError):
-    """A node file is missing, malformed, or off-schema."""
-
-
 def parse_nodes_text(text: str) -> NodeSet:
     """Parse comma-separated inline nodes, e.g. "1,2,-3/4".
 
@@ -40,7 +36,10 @@ def parse_nodes_text(text: str) -> NodeSet:
 
 
 def load_nodes_file(path: str | Path) -> NodeSet:
-    """Load a JSON node file with schema {"nodes": [rational strings]}."""
+    """Load a JSON node file with schema {"nodes": [rational strings]}.
+
+    A file that cannot be read, is not JSON or is off-schema is an
+    InputError whose message names the path."""
     # Imported here, its only user, so that a command given inline nodes
     # does not load it.
     import json
@@ -49,18 +48,18 @@ def load_nodes_file(path: str | Path) -> NodeSet:
     try:
         raw = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise NodesFileError(f"cannot read node file {path}: {exc}") from None
+        raise InputError(f"cannot read node file {path}: {exc}") from None
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or a number past the str-digit limit
-        raise NodesFileError(f"cannot parse node file {path} as JSON: {exc}") from None
+        raise InputError(f"cannot parse node file {path} as JSON: {exc}") from None
     if not isinstance(data, dict) or "nodes" not in data:
-        raise NodesFileError(f'node file {path} must be an object with a "nodes" key')
+        raise InputError(f'node file {path} must be an object with a "nodes" key')
     values = data["nodes"]
     if not isinstance(values, list) or not values:
-        raise NodesFileError(f'node file {path}: "nodes" must be a non-empty array')
+        raise InputError(f'node file {path}: "nodes" must be a non-empty array')
     if not all(isinstance(v, str) for v in values):
-        raise NodesFileError(f'node file {path}: nodes must be rational strings, not numbers')
+        raise InputError(f'node file {path}: nodes must be rational strings, not numbers')
     return NodeSet(values)
 
 

@@ -28,7 +28,7 @@ import random
 import time
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bench import random_rational, trial_rng
 from .calculus import KINDS, nodal_basis, wronskian_matrix
@@ -39,10 +39,6 @@ from .structmat import ExactMatrix, vieta_extension_poly
 from .sympoly import DensePolynomial, NodeSet, poly_from_roots, scaled_product
 
 MAX_SEED = 2**64 - 1
-
-
-class UnknownIdentityError(InputError):
-    """A verify suite was asked for an identity that does not exist."""
 
 
 class VerifyConfig(collections.namedtuple("VerifyConfig", "n_lo n_hi coeff_bound")):
@@ -123,8 +119,15 @@ def _reorder_columns(matrix: ExactMatrix, order) -> ExactMatrix:
 
 
 def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
-    """Sum over all k-subsets of the product of their elements."""
-    return sum(map(prod, itertools.combinations(values, k)), Fraction(0))
+    """Sum over all k-subsets of the product of their elements, on ints:
+    over the product D of every value's denominator, a subset's product is
+    its members' numerators times the other values' denominators, and one
+    Fraction is made of the sum over D at the end."""
+    pairs = [(v.numerator, v.denominator) for v in values]
+    total = 0
+    for subset in itertools.combinations(range(len(pairs)), k):
+        total += prod(p if i in subset else q for i, (p, q) in enumerate(pairs))
+    return Fraction(total, prod(q for _, q in pairs))
 
 
 # --- identities -----------------------------------------------------------
@@ -390,20 +393,22 @@ IDENTITIES = {
 }
 
 
-def _identity(name: str):
+def _identity(name: str, trials: int, seed: int) -> Identity:
+    """The identity `name`, once it exists and the trial count and seed are valid."""
     try:
-        return IDENTITIES[name]
+        identity = IDENTITIES[name]
     except KeyError:
-        raise UnknownIdentityError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}") from None
-
-
-def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> VerifyReport:
-    """Run one identity's randomized trials and aggregate a report."""
-    draw, holds = _identity(name)
+        raise InputError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}") from None
     if trials < 1:
         raise InputError("trials must be at least 1")
     if not (0 <= seed <= MAX_SEED):
         raise InputError("seed must be an unsigned 64-bit integer")
+    return identity
+
+
+def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> VerifyReport:
+    """Run one identity's randomized trials and aggregate a report."""
+    draw, holds = _identity(name, trials, seed)
     failures = 0
     first_failure = first_counterexample = None
     start = time.perf_counter()
@@ -417,12 +422,14 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
     return VerifyReport(name, trials, failures, seed, first_counterexample, first_failure, elapsed_ms)
 
 
-def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> list[VerifyReport]:
+def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> Iterator[VerifyReport]:
     """Run a list of identity names; ["all"] runs every identity.  Every
-    name is checked before any identity runs; an empty list is an error."""
+    name, the trial count and the seed are checked here, before any
+    identity runs; an empty list is an error.  The reports come lazily,
+    each as its identity finishes."""
     selected = list(IDENTITIES) if names == ["all"] else list(names)
     if not selected:
         raise InputError("no identities selected")
     for name in selected:
-        _identity(name)
-    return [run_identity(name, trials, seed, cfg) for name in selected]
+        _identity(name, trials, seed)
+    return (run_identity(name, trials, seed, cfg) for name in selected)

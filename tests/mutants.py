@@ -512,8 +512,8 @@ MUTANTS = (
     Mutant(
         "esp-bruteforce-start-one",
         "verify.py",
-        "combinations(values, k)), Fraction(0))",
-        "combinations(values, k)), Fraction(1))",
+        "    total = 0\n",
+        "    total = 1\n",
         (
             "tests/test_sympoly.py::test_elem_sym_matches_bruteforce",
             "tests/test_sympoly.py::test_table_matches_bruteforce",

@@ -184,6 +184,28 @@ def test_laplace_guard_exit_code(capsys, monkeypatch):
             assert (code, out) == (3, ""), (raw, kind)
 
 
+def test_input_and_size_errors_keep_their_codes_and_messages(capsys, tmp_path):
+    """A node file off-schema and an unknown identity exit 2, Laplace on
+    nine nodes exits 3, each with its one stderr line unchanged."""
+    path = tmp_path / "nodes.json"
+    path.write_text('{"nodes": [1, 2]}')
+    known = ", ".join(IDENTITIES)
+    for argv, want_code, want_err in (
+        (
+            ("det", "vieta", "--nodes-file", str(path)),
+            2,
+            f"error: node file {path}: nodes must be rational strings, not numbers\n",
+        ),
+        (("verify", "--suite", "nope"), 2, f"error: unknown identity 'nope'; known: {known}\n"),
+        (
+            ("det", "vieta", "--nodes", "1,2,3,4,5,6,7,8,9", "--method", "laplace"),
+            3,
+            "error: det_laplace is limited to 8x8, got 9x9; bareiss has no size limit\n",
+        ),
+    ):
+        assert run(capsys, *argv) == (want_code, "", want_err), argv
+
+
 def test_out_into_missing_directory_is_input_error(capsys, tmp_path):
     target = tmp_path / "missing" / "m.json"
     code, out, err = run(capsys, "build", "vieta", "--nodes", "1,2,3", "--out", str(target))
@@ -278,7 +300,8 @@ def test_verify_bad_n_range(capsys):
 
 
 def test_verify_bad_trials(capsys):
-    assert run(capsys, "verify", "--suite", "roundtrip", "--trials", "0")[0] == 2
+    # checked before any identity runs, so no settings line precedes the error
+    assert run(capsys, "verify", "--suite", "roundtrip", "--trials", "0") == (2, "", "error: trials must be at least 1\n")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -325,14 +348,33 @@ def test_library_value_errors_are_internal_errors(capsys, monkeypatch):
 
     monkeypatch.setitem(calculus.KINDS, "vieta", (not_square, calculus.KINDS["vieta"][1]))
     monkeypatch.setitem(IDENTITIES, "raises", Identity(lambda rng, cfg: None, raises))
-    for argv in (
-        ("build", "vieta", "--nodes", "1,2"),
-        ("det", "vieta", "--nodes", "1,2", "--method", "bareiss"),
-        ("verify", "--suite", "raises", "--trials", "1"),
+    verify_settings = "# verify --seed 0 --n 1..6 --coeff-bound 50 --trials 1\n"
+    for argv, settings_line in (
+        (("build", "vieta", "--nodes", "1,2"), ""),
+        (("det", "vieta", "--nodes", "1,2", "--method", "bareiss"), ""),
+        (("verify", "--suite", "raises", "--trials", "1"), verify_settings),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, ""), argv
-        assert err.startswith("internal error: ValueError: ") and err.count("\n") == 1, err
+        assert err.startswith(settings_line + "internal error: ValueError: "), err
+        assert err.count("\n") == 1 + bool(settings_line), err
+
+
+def test_verify_streams_reports_before_an_internal_error(capsys, monkeypatch):
+    """Each identity's stdout and stderr lines are written as it finishes,
+    so a suite whose third identity raises keeps the first two reports."""
+
+    def raises(inputs):
+        raise ValueError("a law that raises")
+
+    monkeypatch.setitem(IDENTITIES, "raises", Identity(lambda rng, cfg: None, raises))
+    code, out, err = run(capsys, "verify", "--suite", "theorem1,roundtrip,raises", "--trials", "5")
+    assert code == 4
+    assert [json.loads(line)["identity"] for line in out.splitlines()] == ["theorem1", "roundtrip"]
+    lines = err.splitlines()
+    assert lines[0] == "# verify --seed 0 --n 1..6 --coeff-bound 50 --trials 5"
+    assert [re.fullmatch(r"# (\w+): [0-9]+ ms", line)[1] for line in lines[1:3]] == ["theorem1", "roundtrip"]
+    assert lines[3:] == ["internal error: ValueError: a law that raises"]
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str-digit limit")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from vietamat import exactdet, structmat
 from vietamat.bench import bench_node_set
 from vietamat.calculus import KINDS, nodal_basis, wronskian_closed, wronskian_matrix
-from vietamat.exactdet import LAPLACE_MAX, LaplaceSizeError, det_bareiss, det_laplace
+from vietamat.exactdet import LAPLACE_MAX, det_bareiss, det_laplace
+from vietamat.rational import SizeGuardError
 from vietamat.structmat import ExactMatrix, build_vieta
 from vietamat.sympoly import NodeSet
 from vietamat.verify import IDENTITIES
@@ -127,7 +128,7 @@ def test_laplace_size_guard():
     assert LAPLACE_MAX == 8
     eye8, eye9 = (ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]) for n in (8, 9))
     assert det_laplace(eye8) == 1
-    with pytest.raises(LaplaceSizeError, match="limited to 8x8, got 9x9"):
+    with pytest.raises(SizeGuardError, match="limited to 8x8, got 9x9"):
         det_laplace(eye9)
 
 

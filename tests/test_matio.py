@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from vietamat import rational
 from vietamat.matio import (
-    NodesFileError,
     load_nodes_file,
     matrix_to_csv,
     matrix_to_json,
     parse_nodes_text,
     serialize_nodes,
 )
-from vietamat.rational import RationalParseError
+from vietamat.rational import InputError, RationalParseError
 from vietamat.structmat import ExactMatrix, build_vieta
 from vietamat.sympoly import NodeSet
 
@@ -58,19 +57,19 @@ def test_load_nodes_file(tmp_path):
 def test_load_nodes_file_schema_errors(tmp_path, content):
     path = tmp_path / "nodes.json"
     path.write_text(content)
-    with pytest.raises(NodesFileError):
+    with pytest.raises(InputError, match="node file .*nodes.json"):
         load_nodes_file(path)
 
 
 def test_load_nodes_file_missing(tmp_path):
-    with pytest.raises(NodesFileError):
+    with pytest.raises(InputError, match="cannot read node file .*absent.json"):
         load_nodes_file(tmp_path / "absent.json")
 
 
 def test_load_nodes_file_undecodable_names_the_path(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff{"nodes": ["1"]}')
-    with pytest.raises(NodesFileError, match="cannot read node file .*bad.json"):
+    with pytest.raises(InputError, match="cannot read node file .*bad.json"):
         load_nodes_file(path)
 
 

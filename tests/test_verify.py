@@ -7,11 +7,10 @@ import pytest
 
 from vietamat import calculus, exactdet, structmat, verify
 from vietamat.matio import serialize_nodes
-from vietamat.rational import render_rational
+from vietamat.rational import InputError, render_rational
 from vietamat.verify import (
     IDENTITIES,
     Identity,
-    UnknownIdentityError,
     VerifyConfig,
     random_node_set,
     run_identity,
@@ -93,9 +92,9 @@ def test_json_line_is_deterministic_and_excludes_timing():
 
 def test_unknown_identity():
     cfg = VerifyConfig()
-    with pytest.raises(UnknownIdentityError):
+    with pytest.raises(InputError, match="unknown identity 'nope'"):
         run_identity("nope", 1, 0, cfg)
-    with pytest.raises(UnknownIdentityError):
+    with pytest.raises(InputError, match="unknown identity 'nope'"):
         run_suite(["theorem1", "nope"], 1, 0, cfg)
 
 
@@ -296,7 +295,7 @@ def test_laplace_runs_at_exactly_its_reach(monkeypatch):
 )
 def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
     """Above LAPLACE_MAX the reach keeps Laplace out: a wrong Laplace is
-    never called, so nothing fails and no LaplaceSizeError escapes, while
+    never called, so nothing fails and no SizeGuardError escapes, while
     a wrong Bareiss, which has no reach limit, fails every trial.  So each
     identity draws n from the requested range, not below it."""
     cfg = VerifyConfig(9, 10)
@@ -313,7 +312,7 @@ def test_oracle_pairs_follow_the_reach(monkeypatch, identity):
     """The pair that runs every oracle caps n at the smallest reach in
     `exactdet.ORACLES`, read when it runs: at Laplace's reach of 8 it draws
     n = 8, and with that reach lowered to 5 no draw reaches Laplace's
-    guard, so nothing fails and no LaplaceSizeError escapes."""
+    guard, so nothing fails and no SizeGuardError escapes."""
     laplace = exactdet.det_laplace
     sizes = set()
 
