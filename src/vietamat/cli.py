@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
 
     lo, hi = _parse_n_range(args.n)
     cfg = VerifyConfig(n_lo=lo, n_hi=hi, coeff_bound=args.coeff_bound)
-    names = [s for s in args.suite.split(",") if s]
+    names = _names(args.suite, "identity")
     reports = run_suite(names, args.trials, args.seed, cfg)
     sys.stderr.write(
         f"# verify --seed {args.seed} --n {lo}..{hi} --coeff-bound {cfg.coeff_bound} --trials {args.trials}\n"
@@ -170,14 +170,22 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return _parse_ints("[0-9,]*", text, f"bad size list {text!r}; expected comma-separated integers")
+    return _parse_ints("[0-9]+(?:,[0-9]+)*", text, f"bad size list {text!r}; expected comma-separated integers")
+
+
+def _names(text: str, what: str) -> list[str]:
+    """Comma-separated names; an empty item, so also an empty list, is an InputError."""
+    names = text.split(",")
+    if "" in names:
+        raise InputError(f"bad {what} list {text!r}; expected comma-separated names, none empty")
+    return names
 
 
 def _cmd_bench(args) -> int:
     from .bench import run_bench
 
     n_values = _parse_int_list(args.n)
-    methods = [m for m in args.methods.split(",") if m]
+    methods = _names(args.methods, "method")
     records = run_bench(n_values, methods, args.repeats, args.entry_bits, args.seed)
     _emit("".join(record.csv_row() + "\n" for record in records), args.out)
     return 0

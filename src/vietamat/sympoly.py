@@ -39,7 +39,9 @@ class DensePolynomial:
     zero polynomial, `DensePolynomial((), 1)`, has no numerators.
     Equality compares values, not scales, by cross-multiplying the stored
     ints, so it builds no Fraction; instances are not hashable.  Treat
-    them as immutable.  `*` multiplies two polynomials.
+    them as immutable.  It defines no operators, so `p * q` raises
+    TypeError: `scaled_product` is the one loop that multiplies linear
+    factors.
 
     `DensePolynomial(numerators, denominator)` raises ValueError unless
     the numerators are ints and the denominator is an int >= 1.
@@ -99,16 +101,6 @@ class DensePolynomial:
             out[r] = factorial * g[r] * v_pow[r]
             factorial *= r + 1
         return out, self.denominator * v_pow[-1]
-
-    def __mul__(self, other: "DensePolynomial") -> "DensePolynomial":
-        if not isinstance(other, DensePolynomial):
-            return NotImplemented
-        a, b = self.numerators, other.numerators
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return DensePolynomial(out, self.denominator * other.denominator)
 
 
 def scaled_product(values: Iterable[Fraction]) -> list[int]:

@@ -260,7 +260,13 @@ def _degenerate(inputs):
     closed form and every oracle within its reach; two zeros zero the last
     row.  The oracles give 0 on the drawn nodes' matrix with column j set
     to twice column i too; unless the drawn nodes repeat or node j is 0,
-    Bareiss must eliminate."""
+    Bareiss must eliminate.
+
+    The rank law, on the build of the degenerate nodes: every later copy
+    of a node stores its first copy's column, ints and denominator, and
+    with F the first-appearance columns and s = len(F), the oracles that
+    the trial's n admits give the closed form of the s distinct values on
+    the minor of rows 0..s-1 and columns F."""
     ns, (i, j), repeat = inputs
     nodes = list(ns)
     if repeat:
@@ -276,14 +282,29 @@ def _degenerate(inputs):
         [row[:j] + (2 * row[i],) + row[j + 1:] for row in drawn.numerators],
         drawn.denominators[:j] + drawn.denominators[i:i + 1] + drawn.denominators[j + 1:],
     )
-    return None if _oracles_give(Fraction(0), doubled) else serialize_nodes(ns)
+    if not _oracles_give(Fraction(0), doubled):
+        return serialize_nodes(ns)
+    first = {a: nodes.index(a) for a in nodes}
+    columns = list(zip(*matrix.numerators, matrix.denominators))
+    minor = ExactMatrix(
+        ([row[c] for c in first.values()] for row in matrix.numerators[:len(first)]),
+        [matrix.denominators[c] for c in first.values()],
+    )
+    ranked = all(column == columns[first[a]] for column, a in zip(columns, nodes)) and _oracles_give(
+        KINDS["vieta"][1](NodeSet(first)), minor, len(nodes)
+    )
+    return None if ranked else serialize_nodes(degenerate)
 
 
 def _recombination(ns):
-    """Column j times (x - a_j) rebuilds the full root polynomial."""
+    """Column j times (x - a_j) rebuilds the full root polynomial, on the
+    stored ints: for a_j = p / q and column j's ascending numerators c
+    over D, (q x - p) / q gives numerators q c[m-1] - p c[m] over D q,
+    with c[-1] = c[n] = 0."""
     full = poly_from_roots(ns)
     for poly, a in zip(nodal_basis(ns), ns):
-        if poly * DensePolynomial((-a.numerator, a.denominator), a.denominator) != full:
+        p, q, c = a.numerator, a.denominator, poly.numerators
+        if DensePolynomial([q * hi - p * lo for lo, hi in zip(c + (0,), (0,) + c)], poly.denominator * q) != full:
             return serialize_nodes(ns)
     return None
 

@@ -177,6 +177,33 @@ MUTANTS = (
         ("tests/test_verify.py::test_degenerate_draws_both_branches",),
     ),
     Mutant(
+        "degenerate-no-rank-law",
+        "verify.py",
+        "return None if ranked else serialize_nodes(degenerate)",
+        "return None",
+        (
+            "tests/test_verify.py::test_degenerate_checks_the_rank_law[_later_copies_zeroed]",
+            "tests/test_verify.py::test_degenerate_checks_the_rank_law[_zero_when_nodes_repeat]",
+        ),
+    ),
+    Mutant(
+        "degenerate-minor-at-its-own-size",
+        "verify.py",
+        "minor, len(nodes)",
+        "minor",
+        ("tests/test_verify.py::test_oracles_beyond_their_reach_are_skipped[degenerate]",),
+    ),
+    Mutant(
+        "recombination-factor-swapped",
+        "verify.py",
+        "q * hi - p * lo",
+        "q * lo - p * hi",
+        (
+            "tests/test_sympoly.py::test_recombination",
+            "tests/test_verify.py::test_each_identity_passes_briefly[recombination]",
+        ),
+    ),
+    Mutant(
         "laplace-max-9",
         "exactdet.py",
         "LAPLACE_MAX = 8",

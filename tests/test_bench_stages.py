@@ -1,4 +1,4 @@
-"""Smoke test of tools/bench_stages.py: one run at n = 4, keys only, no times."""
+"""Smoke test of tools/bench_stages.py: one run at n = 4, keys and counters, no times."""
 
 import json
 import subprocess
@@ -16,13 +16,18 @@ def test_stage_script_writes_every_key(tmp_path):
     argv = [sys.executable, str(SCRIPT), "--out", str(out), "--sizes", "4", "--closed-only", "4", "--cli-runs", "1"]
     subprocess.run(argv, check=True, timeout=120)
     data = json.loads(out.read_text())
-    assert set(data) == {"env", "settings", "stages", "closed_only", "commands"}
+    assert set(data) == {"env", "settings", "stages", "counters", "closed_only", "commands"}
     assert {"python", "cpus", "int_max_str_digits", "PYTHONDONTWRITEBYTECODE", "python_c_pass"} <= set(data["env"])
-    assert list(data["stages"]) == list(data["closed_only"]) == list(KINDS)
+    assert list(data["stages"]) == list(data["counters"]) == list(data["closed_only"]) == list(KINDS)
     for kind in KINDS:
         assert list(data["stages"][kind]["4"]) == STAGES, kind
         assert all(set(record) == {"ns", "runs"} for record in data["stages"][kind]["4"].values()), kind
         assert set(data["closed_only"][kind]["4"]["closed"]) == {"ns", "runs"}, kind
+        counters = data["counters"][kind]["4"]
+        assert set(counters) == {"closed_gcd_max_bits", "json_gcd_calls"}, kind
+        # one gcd per entry of the 4 x 4 build; 16-bit nodes give the closed form nonzero operands
+        assert counters["json_gcd_calls"] == 16, kind
+        assert counters["closed_gcd_max_bits"] > 0, kind
     assert list(data["commands"]) == ["det", "verify", "bench"]
     for record in [*data["commands"].values(), data["env"]["python_c_pass"]]:
         assert record["exit"] == [0], record["argv"]

@@ -285,12 +285,16 @@ def test_verify_unknown_suite(capsys):
         ("verify", "--suite", ","),
         ("bench", "--n", ",", "--methods", "closed"),
         ("bench", "--n", "4", "--methods", ","),
+        ("bench", "--n", "1,,2", "--methods", "closed"),
+        ("bench", "--n", "4,", "--methods", "closed"),
+        ("bench", "--n", "4", "--methods", "closed,,bareiss"),
+        ("verify", "--suite", "theorem1,,roundtrip"),
     ],
 )
 def test_empty_lists_are_input_errors(capsys, args):
     code, out, err = run(capsys, *args)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_bad_n_range(capsys):

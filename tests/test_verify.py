@@ -366,6 +366,30 @@ def _rotated_basis(ns):
     return basis[1:] + basis[:1]
 
 
+def _later_copies_zeroed(ns, at):
+    """The vieta build with the column of every later copy of a node zeroed."""
+    m = structmat.build_vieta(ns)
+    later = [a in ns[:c] for c, a in enumerate(ns)]
+    return structmat.ExactMatrix(([0 if z else e for e, z in zip(row, later)] for row in m.numerators), m.denominators)
+
+
+def _zero_when_nodes_repeat(ns, at):
+    """The vieta build, or the zero matrix when a node repeats."""
+    n = len(ns)
+    return structmat.build_vieta(ns) if len(set(ns)) == n else structmat.ExactMatrix([[0] * n] * n, [1] * n)
+
+
+@pytest.mark.parametrize("plant", [_later_copies_zeroed, _zero_when_nodes_repeat])
+def test_degenerate_checks_the_rank_law(monkeypatch, plant):
+    """Both plants keep the build of distinct nodes and give det 0 on
+    repeated ones, so only the rank law sees them: the first zeroes a later
+    copy's column, which no longer matches its first copy's, and the
+    second zeroes the minor on the distinct values' columns, whose closed
+    form is not 0."""
+    monkeypatch.setitem(calculus.KINDS, "vieta", (plant, structmat.vieta_det_closed))
+    assert run_identity("degenerate", 100, 42, VerifyConfig()).failures > 0
+
+
 def _unsigned(r):
     return render_rational(abs(r))
 

@@ -17,6 +17,14 @@ spent BUDGET_NS):
     render   render_rational of the closed value
     hash     bench.result_hash of the closed value
 
+For each kind and n, two counters come from one more, untimed, call
+each, with a module's `gcd` wrapped and then restored:
+
+    closed_gcd_max_bits  the largest operand bit length that the closed
+                         form passes to `structmat.gcd`
+    json_gcd_calls       the number of `rational.gcd` calls made by
+                         matrix_to_json of the build
+
 `--closed-only` sizes time the closed forms alone.  The interpreter's
 int str-digit limit is left as it is, so a stage that hits it is
 recorded as {"failed": "<exception type>"} and is not timed.
@@ -39,6 +47,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from vietamat import rational, structmat  # noqa: E402
 from vietamat.bench import bench_node_set, result_hash  # noqa: E402
 from vietamat.calculus import KINDS  # noqa: E402
 from vietamat.exactdet import det_bareiss  # noqa: E402
@@ -75,7 +84,28 @@ def best_of(fn):
     return value, {"ns": best, "runs": runs}
 
 
-def kind_stages(kind: str, n: int) -> dict:
+def gcd_calls(module, fn) -> tuple[int, int]:
+    """One untimed fn() with `module.gcd` wrapped, then restored: the number
+    of gcd calls it made and the largest bit length among their operands."""
+    real = module.gcd
+    calls, bits = 0, 0
+
+    def counting(*args):
+        nonlocal calls, bits
+        calls += 1
+        bits = max(bits, *(a.bit_length() for a in args))
+        return real(*args)
+
+    module.gcd = counting
+    try:
+        fn()
+    finally:
+        module.gcd = real
+    return calls, bits
+
+
+def kind_stages(kind: str, n: int) -> tuple[dict, dict]:
+    """The stage timings of one kind at size n, and its two counters."""
     build, closed = KINDS[kind]
     text = ",".join(map(render_rational, bench_node_set(0, n, 16)))
     steps = [
@@ -91,7 +121,11 @@ def kind_stages(kind: str, n: int) -> dict:
     for stage, source, fn in steps:
         if stage != "bareiss" or n <= BAREISS_MAX:
             values[stage], record[stage] = best_of(lambda: fn(values[source]))
-    return record
+    counters = {
+        "closed_gcd_max_bits": gcd_calls(structmat, lambda: closed(values["parse"]))[1],
+        "json_gcd_calls": gcd_calls(rational, lambda: matrix_to_json(values["build"]))[0],
+    }
+    return record, counters
 
 
 def closed_only(kind: str, n: int) -> dict:
@@ -116,9 +150,11 @@ def run_command(argv: list[str], runs: int) -> dict:
 
 def measure(args) -> dict:
     get_limit = getattr(sys, "get_int_max_str_digits", None)
-    stages, closed = {}, {}
+    stages, counters, closed = {}, {}, {}
     for kind in KINDS:
-        stages[kind] = {str(n): kind_stages(kind, n) for n in args.sizes}
+        stages[kind], counters[kind] = {}, {}
+        for n in args.sizes:
+            stages[kind][str(n)], counters[kind][str(n)] = kind_stages(kind, n)
         closed[kind] = {str(n): closed_only(kind, n) for n in args.closed_only}
     commands = {name: run_command(argv, args.cli_runs) for name, argv in COMMANDS.items()}
     return {
@@ -137,6 +173,7 @@ def measure(args) -> dict:
             "bareiss_max": BAREISS_MAX,
         },
         "stages": stages,
+        "counters": counters,
         "closed_only": closed,
         "commands": commands,
     }
