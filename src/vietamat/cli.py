@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_alias.set_defaults(kind=alias)
 
     p_verify = sub.add_parser("verify", help="run randomized identity checks, one JSON line each")
-    p_verify.add_argument("--suite", default="all", help="comma-separated identity names, or 'all'")
+    p_verify.add_argument("--suite", default="all", help="comma-separated identity names, or 'all' alone")
     p_verify.add_argument("--trials", type=_int_option, default=100)
     p_verify.add_argument("--seed", type=_int_option, default=0, help="unsigned 64-bit master seed")
     p_verify.add_argument("--n", default="1..6", help="node-count range LO..HI (within 1..10)")

@@ -8,7 +8,8 @@ formula and two unrelated determinant routes identically to go unnoticed.
 Both run on the matrix's stored ints, `ExactMatrix.numerators` over one
 column scale `denominators`, and apply that scale once at the end; the
 Fraction `entries` are made from the same ints.  det_laplace expands
-them bottom-up, one table of minors per row by column set.  det_bareiss
+them bottom-up: one list of minors per row, one per column set, each a
+sum of products whose factors a plan cached per n picks.  det_bareiss
 returns 0 at once for two equal stored columns, divides each row by the
 gcd of its numerators, and eliminates on a trailing block stored over
 one int scale per column: a stored entry times its column's scale is the
@@ -22,9 +23,11 @@ Neither oracle knows the matrix's structure.
 the largest n it accepts or None: the one list of oracles and reaches.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 from math import gcd, prod
-from operator import floordiv, mul
+from operator import floordiv, itemgetter, mul, neg
 
 from .rational import SizeGuardError
 from .structmat import ExactMatrix
@@ -33,40 +36,53 @@ from .structmat import ExactMatrix
 LAPLACE_MAX = 8
 
 
+@functools.cache
+def _expansion_plan(n: int) -> tuple:
+    """For each level s = 2..n, a triple (s, coeffs, subs) whose two
+    itemgetters run over the s-column sets M in `itertools.combinations`
+    order and, within each set, over its columns j at positions t =
+    0..s-1.  Applied to a row followed by its negation, coeffs picks
+    (-1)^t times entry j: from the row for even t, from the negation, n
+    places on, for odd t.  Applied to the level below, subs picks the
+    minor on the columns M without j."""
+    plan = []
+    below = {(j,): j for j in range(n)}
+    for s in range(2, n + 1):
+        level = list(itertools.combinations(range(n), s))
+        coeffs = [j + n * (t % 2) for cols in level for t, j in enumerate(cols)]
+        subs = [below[cols[:t] + cols[t + 1 :]] for cols in level for t in range(s)]
+        plan.append((s, itemgetter(*coeffs), itemgetter(*subs)))
+        below = {cols: i for i, cols in enumerate(level)}
+    return tuple(plan)
+
+
 def det_laplace(m: ExactMatrix) -> Fraction:
     """Determinant by cofactor expansion along the first row, built
     bottom-up over column sets.
 
     Expands the stored int numerators, whose columns are already scaled
     to ints, and divides by the product of the column denominators once,
-    so no entry is made as a Fraction.  minors[mask] is the minor on the
-    last popcount(mask) rows and the columns in mask, expanded along its
-    first row; each level is made from the one below, and a term
-    coeff * minor is negated when an odd number of mask's columns lie
-    below coeff's column.  The terms are the textbook expansion's, term
-    for term, two levels are held at once, and a minor no term reaches (a
-    zero column's) is 0.  Sizes beyond LAPLACE_MAX raise SizeGuardError
-    rather than silently switching algorithm.
+    so no entry is made as a Fraction.  Level s holds, for each s-column
+    set in a fixed order, the minor on the last s rows and those
+    columns, expanded along its first row: level 1 is the last row, and
+    each level pulls its terms from the one below through the cached
+    `_expansion_plan(n)` and sums each set's s terms.  The terms are the
+    textbook expansion's, term for term, n * 2^(n-1) - n products in
+    all; a zero entry multiplies through like any other.  Sizes beyond
+    LAPLACE_MAX raise SizeGuardError rather than silently switching
+    algorithm.
     """
     n = len(m.numerators)
     if n > LAPLACE_MAX:
         raise SizeGuardError(
             f"det_laplace is limited to {LAPLACE_MAX}x{LAPLACE_MAX}, got {n}x{n}; bareiss has no size limit"
         )
-    minors = {1 << j: coeff for j, coeff in enumerate(m.numerators[-1]) if coeff}
-    for row in reversed(m.numerators[:-1]):
-        level: dict[int, int] = {}
-        for mask, minor in minors.items():
-            negate = False
-            for j, coeff in enumerate(row):
-                bit = 1 << j
-                if mask & bit:
-                    negate = not negate
-                elif coeff:
-                    term = coeff * minor
-                    level[mask | bit] = level.get(mask | bit, 0) + (-term if negate else term)
-        minors = level
-    return Fraction(minors.get((1 << n) - 1, 0), prod(m.denominators))
+    minors = m.numerators[-1]
+    for row, (s, coeffs, subs) in zip(reversed(m.numerators[:-1]), _expansion_plan(n)):
+        terms = iter(map(mul, coeffs(row + tuple(map(neg, row))), subs(minors)))
+        # zip of s references to one iterator: each column set's s terms in turn
+        minors = list(map(sum, zip(*[terms] * s)))
+    return Fraction(minors[0], prod(m.denominators))
 
 
 def det_bareiss(m: ExactMatrix) -> Fraction:

@@ -419,7 +419,8 @@ def _identity(name: str, trials: int, seed: int) -> Identity:
     try:
         identity = IDENTITIES[name]
     except KeyError:
-        raise InputError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}") from None
+        alone = ", or 'all' alone" if name == "all" else ""
+        raise InputError(f"unknown identity {name!r}; known: {', '.join(IDENTITIES)}{alone}") from None
     if trials < 1:
         raise InputError("trials must be at least 1")
     if not (0 <= seed <= MAX_SEED):
@@ -444,10 +445,11 @@ def run_identity(name: str, trials: int, seed: int, cfg: VerifyConfig) -> Verify
 
 
 def run_suite(names, trials: int, seed: int, cfg: VerifyConfig) -> Iterator[VerifyReport]:
-    """Run a list of identity names; ["all"] runs every identity.  Every
-    name, the trial count and the seed are checked here, before any
-    identity runs; an empty list is an error.  The reports come lazily,
-    each as its identity finishes."""
+    """Run a list of identity names; ["all"] runs every identity, and
+    "all" beside other names is an unknown identity.  Every name, the
+    trial count and the seed are checked here, before any identity runs;
+    an empty list is an error.  The reports come lazily, each as its
+    identity finishes."""
     selected = list(IDENTITIES) if names == ["all"] else list(names)
     if not selected:
         raise InputError("no identities selected")

@@ -217,8 +217,8 @@ MUTANTS = (
     Mutant(
         "laplace-negate-first",
         "exactdet.py",
-        "negate = False",
-        "negate = True",
+        "j + n * (t % 2)",
+        "j + n * ((t + 1) % 2)",
         (
             "tests/test_exactdet.py::test_laplace_examples",
             "tests/test_exactdet.py::test_laplace_on_signed_scaled_permutation_matrices",
@@ -229,13 +229,20 @@ MUTANTS = (
     Mutant(
         "laplace-scale-short",
         "exactdet.py",
-        "return Fraction(minors.get((1 << n) - 1, 0), prod(m.denominators))",
-        "return Fraction(minors.get((1 << n) - 1, 0), prod(m.denominators[1:]))",
+        "return Fraction(minors[0], prod(m.denominators))",
+        "return Fraction(minors[0], prod(m.denominators[1:]))",
         (
             "tests/test_exactdet.py::test_laplace_on_signed_scaled_permutation_matrices",
             "tests/test_exactdet.py::test_both_oracles_match_leibniz",
             "tests/test_exactdet.py::test_laplace_builds_no_fraction",
         ),
+    ),
+    Mutant(
+        "laplace-sub-minor-drops-first-column",
+        "exactdet.py",
+        "below[cols[:t] + cols[t + 1 :]]",
+        "below[cols[1:]]",
+        ("tests/test_exactdet.py::test_both_oracles_match_leibniz",),
     ),
     Mutant(
         "bareiss-divisor-h",

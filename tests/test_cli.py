@@ -279,6 +279,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown identity" in err
 
 
+@pytest.mark.parametrize("suite", ["all,roundtrip", "roundtrip,all", "all,all"])
+def test_verify_all_is_valid_only_alone(capsys, suite):
+    """'all' is the whole suite; beside other names it is an unknown identity
+    whose message says so, and nothing runs."""
+    known = ", ".join(IDENTITIES)
+    want = f"error: unknown identity 'all'; known: {known}, or 'all' alone\n"
+    assert run(capsys, "verify", "--suite", suite, "--trials", "1") == (2, "", want)
+
+
 @pytest.mark.parametrize(
     "args",
     [

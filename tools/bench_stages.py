@@ -13,6 +13,7 @@ spent BUDGET_NS):
     build    KINDS[kind][0](nodes, at)
     closed   KINDS[kind][1](nodes)
     bareiss  det_bareiss of the build, for n <= BAREISS_MAX
+    laplace  det_laplace of the build, for n <= exactdet.LAPLACE_MAX
     json     matrix_to_json of the build
     render   render_rational of the closed value
     hash     bench.result_hash of the closed value
@@ -50,7 +51,7 @@ sys.path.insert(0, str(SRC))
 from vietamat import rational, structmat  # noqa: E402
 from vietamat.bench import bench_node_set, result_hash  # noqa: E402
 from vietamat.calculus import KINDS  # noqa: E402
-from vietamat.exactdet import det_bareiss  # noqa: E402
+from vietamat.exactdet import LAPLACE_MAX, det_bareiss, det_laplace  # noqa: E402
 from vietamat.matio import matrix_to_json, parse_nodes_text  # noqa: E402
 from vietamat.rational import render_rational  # noqa: E402
 
@@ -58,6 +59,7 @@ AT = Fraction(-12345, 6789)
 REPEATS = 5
 BUDGET_NS = 10**9
 BAREISS_MAX = 64  # Bareiss on the rational Vandermonde takes about 25 s at n = 64
+REACH = {"bareiss": BAREISS_MAX, "laplace": LAPLACE_MAX}  # the largest n each oracle stage runs at
 COMMANDS = {
     "det": ["-m", "vietamat", "det", "vieta", "--nodes", "1,2,3"],
     "verify": ["-m", "vietamat", "verify", "--seed", "42"],
@@ -113,13 +115,14 @@ def kind_stages(kind: str, n: int) -> tuple[dict, dict]:
         ("build", "parse", lambda ns: build(ns, AT)),
         ("closed", "parse", closed),
         ("bareiss", "build", det_bareiss),
+        ("laplace", "build", det_laplace),
         ("json", "build", matrix_to_json),
         ("render", "closed", render_rational),
         ("hash", "closed", result_hash),
     ]
     values, record = {None: None}, {}
     for stage, source, fn in steps:
-        if stage != "bareiss" or n <= BAREISS_MAX:
+        if n <= REACH.get(stage, n):
             values[stage], record[stage] = best_of(lambda: fn(values[source]))
     counters = {
         "closed_gcd_max_bits": gcd_calls(structmat, lambda: closed(values["parse"]))[1],
@@ -171,6 +174,7 @@ def measure(args) -> dict:
             "repeats": REPEATS,
             "budget_s": BUDGET_NS / 1e9,
             "bareiss_max": BAREISS_MAX,
+            "laplace_max": LAPLACE_MAX,
         },
         "stages": stages,
         "counters": counters,
@@ -186,7 +190,7 @@ def _sizes(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--sizes", type=_sizes, default=[32, 64, 128, 256])
+    parser.add_argument("--sizes", type=_sizes, default=[8, 32, 64, 128, 256])
     parser.add_argument("--closed-only", type=_sizes, default=[512])
     parser.add_argument("--cli-runs", type=int, default=5)
     args = parser.parse_args(argv)
