@@ -14,10 +14,11 @@ identity holds on repeated nodes, so each set is drawn once.  Sizes span
 the config's range, with two caps: leave_one_out's brute-force sums take
 2^n terms, so it caps n at 8; oracle_agreement and multilinearity run
 every oracle, so they cap n at the smallest finite reach in `ORACLES`
-(Laplace's 8 today), read each time they run.  The other identities skip
-an oracle beyond its reach instead.  theorem1 and sign_bridge draw the
-same way and share one `holds`, bound to the kinds "vieta" and
-"vandermonde" of `KINDS`.  Tests feed their own inputs to `holds`.
+(Laplace's 8 today), read each time they run.  Elsewhere every oracle
+checks every matrix within its reach, full build or minor alike.
+theorem1 and sign_bridge draw the same way and share one `holds`, bound
+to the kinds "vieta" and "vandermonde" of `KINDS`.  Tests feed their
+own inputs to `holds`.
 """
 
 import collections
@@ -113,9 +114,11 @@ def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _reorder_columns(matrix: ExactMatrix, order) -> ExactMatrix:
-    """Column k of the result is column order[k] of `matrix`, denominator and all."""
-    return ExactMatrix(([row[c] for c in order] for row in matrix.numerators), [matrix.denominators[c] for c in order])
+def _reorder_columns(matrix: ExactMatrix, order, rows: int | None = None) -> ExactMatrix:
+    """Column k of the result is column order[k] of `matrix`, denominator
+    and all; given `rows`, only rows 0..rows-1 are kept, a leading minor."""
+    numerators = ([row[c] for c in order] for row in matrix.numerators[:rows])
+    return ExactMatrix(numerators, [matrix.denominators[c] for c in order])
 
 
 def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
@@ -137,12 +140,10 @@ def _esp_bruteforce(values: tuple[Fraction, ...], k: int) -> Fraction:
 Identity = collections.namedtuple("Identity", "draw holds")
 
 
-def _oracles_give(value: Fraction, matrix: ExactMatrix, n: int | None = None) -> bool:
-    """Every oracle whose reach admits n, the matrix's size unless given,
-    equals `value` on `matrix`; they run in table order, up to the first
-    that differs.  A minor passes its trial's n, so that a trial above an
-    oracle's reach never runs that oracle."""
-    n = len(matrix.numerators) if n is None else n
+def _oracles_give(value: Fraction, matrix: ExactMatrix) -> bool:
+    """Every oracle whose reach admits the matrix's size equals `value` on
+    it; they run in table order, up to the first that differs."""
+    n = len(matrix.numerators)
     return all(det(matrix) == value for det, reach in ORACLES.values() if reach is None or n <= reach)
 
 
@@ -212,18 +213,18 @@ def _closed_form(kind, ns):
     """Every oracle within its reach gives the closed form of `KINDS[kind]`
     on its matrix at the default point 0.  For "vieta" this is theorem 1;
     for "vandermonde", (-1)^{n(n-1)/2} times it, the sign between the two
-    product orientations.  For n >= 2 they also give, on the minor without
-    the last row and column 0, the closed form on the nodes without node
-    0; a build fault that keeps det, such as column 0 added to column 1,
-    changes that minor."""
+    product orientations.  For n >= 2 every oracle within the minor's
+    reach also gives, on the minor without the last row and column 0, the
+    closed form on the nodes without node 0; a build fault that keeps
+    det, such as column 0 added to column 1, changes that minor."""
     closed = KINDS[kind][1]
     matrix = _kind_gives(kind, ns, closed(ns))
     if matrix is None:
         return serialize_nodes(ns)
     if len(ns) == 1:
         return None
-    minor = ExactMatrix((row[1:] for row in matrix.numerators[:-1]), matrix.denominators[1:])
-    return None if _oracles_give(closed(NodeSet(ns[1:])), minor, len(ns)) else serialize_nodes(ns)
+    minor = _reorder_columns(matrix, range(1, len(ns)), len(ns) - 1)
+    return None if _oracles_give(closed(NodeSet(ns[1:])), minor) else serialize_nodes(ns)
 
 
 def _corollary1(inputs):
@@ -264,9 +265,9 @@ def _degenerate(inputs):
 
     The rank law, on the build of the degenerate nodes: every later copy
     of a node stores its first copy's column, ints and denominator, and
-    with F the first-appearance columns and s = len(F), the oracles that
-    the trial's n admits give the closed form of the s distinct values on
-    the minor of rows 0..s-1 and columns F."""
+    with F the first-appearance columns and s = len(F), every oracle
+    within the minor's reach gives the closed form of the s distinct
+    values on the minor of rows 0..s-1 and columns F."""
     ns, (i, j), repeat = inputs
     nodes = list(ns)
     if repeat:
@@ -286,12 +287,8 @@ def _degenerate(inputs):
         return serialize_nodes(ns)
     first = {a: nodes.index(a) for a in nodes}
     columns = list(zip(*matrix.numerators, matrix.denominators))
-    minor = ExactMatrix(
-        ([row[c] for c in first.values()] for row in matrix.numerators[:len(first)]),
-        [matrix.denominators[c] for c in first.values()],
-    )
     ranked = all(column == columns[first[a]] for column, a in zip(columns, nodes)) and _oracles_give(
-        KINDS["vieta"][1](NodeSet(first)), minor, len(nodes)
+        KINDS["vieta"][1](NodeSet(first)), _reorder_columns(matrix, first.values(), len(first))
     )
     return None if ranked else serialize_nodes(degenerate)
 

@@ -257,8 +257,9 @@ def test_verify_runs_every_identity_at_coeff_bound_1(capsys):
 def test_verify_above_laplace_reach_passes(capsys):
     """At n = 9..10 every identity that draws a size passes: oracle_agreement
     and multilinearity clamp n to Laplace's reach (8), where both oracles
-    run; the others run above it with Bareiss alone, and permutation, which
-    runs no oracle, compares the vieta build there."""
+    run; the others check their full builds above it with Bareiss alone and
+    their minors of size 8 or less with both, and permutation, which runs
+    no oracle, compares the vieta build there."""
     suite = (
         "theorem1,corollary1,sign_bridge,antisymmetry,extension,degenerate,"
         "recombination,permutation,wronskian,jacobian,oracle_agreement,multilinearity"

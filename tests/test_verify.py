@@ -4,10 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vietamat import calculus, exactdet, structmat, verify
 from vietamat.matio import serialize_nodes
 from vietamat.rational import InputError, render_rational
+from vietamat.sympoly import NodeSet
 from vietamat.verify import (
     IDENTITIES,
     Identity,
@@ -271,6 +274,16 @@ def _plus_one(det):
     return lambda m: det(m) + 1
 
 
+def _recording(det, sizes):
+    """`det`, recording the size of each matrix it is handed in `sizes`."""
+
+    def recorded(m):
+        sizes.append(len(m.numerators))
+        return det(m)
+
+    return recorded
+
+
 @pytest.mark.parametrize("identity", ORACLE_IDENTITIES)
 def test_every_identity_reads_its_oracles_from_the_table(monkeypatch, identity):
     """An extra wrong entry in `exactdet.ORACLES`, with no reach limit, is
@@ -281,30 +294,55 @@ def test_every_identity_reads_its_oracles_from_the_table(monkeypatch, identity):
 
 
 def test_laplace_runs_at_exactly_its_reach(monkeypatch):
-    """At n = LAPLACE_MAX the reach admits Laplace, so a wrong Laplace
-    fails every trial."""
+    """At n = LAPLACE_MAX the reach admits Laplace, so every trial hands
+    it the 8x8 build, and a wrong Laplace fails every trial."""
     assert exactdet.ORACLES["laplace"][1] == exactdet.LAPLACE_MAX == 8
+    sizes = []
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_recording(exactdet.det_laplace, sizes), exactdet.LAPLACE_MAX))
+    assert run_identity("theorem1", 20, 0, VerifyConfig(8, 8)).failures == 0
+    assert sizes.count(8) == 20
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
     report = run_identity("theorem1", 20, 0, VerifyConfig(8, 8))
     assert report.failures == report.trials == 20
 
 
-@pytest.mark.parametrize(
-    "identity",
-    ["theorem1", "corollary1", "sign_bridge", "antisymmetry", "extension", "degenerate", "wronskian", "jacobian"],
-)
+@pytest.mark.parametrize("identity", [identity for identity, _ in CLOSED_FORM_IDENTITIES])
 def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
-    """Above LAPLACE_MAX the reach keeps Laplace out: a wrong Laplace is
-    never called, so nothing fails and no SizeGuardError escapes, while
-    a wrong Bareiss, which has no reach limit, fails every trial.  So each
-    identity draws n from the requested range, not below it."""
+    """Above LAPLACE_MAX the reach keeps Laplace out of every matrix, full
+    build or minor: the real Laplace never sees n > 8, so no
+    SizeGuardError escapes.  Bareiss, which has no reach limit, sees full
+    builds of size 9 or more, so each identity draws n from the requested
+    range, not below it, and a wrong Bareiss fails every trial."""
     cfg = VerifyConfig(9, 10)
-    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
+    laplace_sizes, bareiss_sizes = [], []
+    monkeypatch.setitem(
+        exactdet.ORACLES, "laplace", (_recording(exactdet.det_laplace, laplace_sizes), exactdet.LAPLACE_MAX)
+    )
+    monkeypatch.setitem(exactdet.ORACLES, "bareiss", (_recording(exactdet.det_bareiss, bareiss_sizes), None))
     report = run_identity(identity, 20, 0, cfg)
     assert report.failures == 0, report.first_counterexample
+    assert max(laplace_sizes, default=0) <= exactdet.LAPLACE_MAX
+    assert max(bareiss_sizes) >= 9
     monkeypatch.setitem(exactdet.ORACLES, "bareiss", (_plus_one(exactdet.det_bareiss), None))
     report = run_identity(identity, 20, 0, cfg)
     assert report.failures == report.trials == 20
+
+
+# identities whose trials at n = 9 hand the oracles an 8x8 minor
+MINOR_IDENTITIES = {"theorem1", "sign_bridge", "degenerate"}
+
+
+@pytest.mark.parametrize("identity", [identity for identity, _ in CLOSED_FORM_IDENTITIES])
+def test_minors_within_reach_run_laplace_at_n_9(monkeypatch, identity):
+    """The reach is read from the size of the matrix each oracle is
+    handed, not from the trial's n: at n = 9 the (n - 1, 0) minor of
+    theorem1 and sign_bridge and degenerate's rank-law minor are 8x8 or
+    smaller, so a wrong Laplace fails every one of their trials, while
+    the identities that hand the oracles only full builds of 9 or more
+    never run it."""
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
+    report = run_identity(identity, 20, 0, VerifyConfig(9, 9))
+    assert report.failures == (20 if identity in MINOR_IDENTITIES else 0), report.first_counterexample
 
 
 @pytest.mark.parametrize("identity", ["oracle_agreement", "multilinearity"])
@@ -314,15 +352,10 @@ def test_oracle_pairs_follow_the_reach(monkeypatch, identity):
     n = 8, and with that reach lowered to 5 no draw reaches Laplace's
     guard, so nothing fails and no SizeGuardError escapes."""
     laplace = exactdet.det_laplace
-    sizes = set()
-
-    def recording(m):
-        sizes.add(len(m.numerators))
-        return laplace(m)
-
-    monkeypatch.setitem(exactdet.ORACLES, "laplace", (recording, exactdet.LAPLACE_MAX))
+    sizes = []
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_recording(laplace, sizes), exactdet.LAPLACE_MAX))
     assert run_identity(identity, 10, 0, VerifyConfig(8, 8)).failures == 0
-    assert sizes == {8}
+    assert set(sizes) == {8}
 
     monkeypatch.setattr(exactdet, "LAPLACE_MAX", 5)
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (laplace, 5))
@@ -426,6 +459,35 @@ def test_each_law_sees_a_planted_fault(monkeypatch, identity):
     else:
         monkeypatch.setattr(where, name, value)
     assert run_identity(identity, 30, 0, VerifyConfig(3, 6, 50)).failures > 0
+
+
+# Half the draws come from a small pool, so repeated and zero nodes are common.
+pooled_nodes = st.lists(
+    st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]), st.fractions(-50, 50, max_denominator=50)),
+    min_size=1,
+    max_size=9,
+)
+
+
+@pytest.mark.parametrize("kind", ["vieta", "vandermonde", "jacobian"])
+@settings(max_examples=60)
+@given(nodes=pooled_nodes, data=st.data())
+def test_leading_minors_give_the_closed_form_of_their_columns(kind, nodes, data):
+    """The leading-minor law: vieta = T(e) S P, with T(e) the unit lower
+    triangular Toeplitz matrix of e_0..e_{n-1}, S = diag((-1)^i) and P the
+    power build.  So on rows 0..s-1 and any s columns C, in any order,
+    every oracle within reach gives the kind's closed form on the nodes in
+    C, repeated nodes included; the jacobian is vieta entry for entry.
+    verify's (n - 1, 0) minor and degenerate's rank-law minor are two
+    cases; s = 2 sees a fault in row 1 alone."""
+    ns = NodeSet(nodes)
+    order = data.draw(st.permutations(range(len(ns))))[: data.draw(st.integers(1, len(ns)))]
+    build, closed = calculus.KINDS[kind]
+    minor = verify._reorder_columns(build(ns, Fraction(0)), order, len(order))
+    expected = closed(NodeSet(ns[c] for c in order))
+    for name, (det, reach) in exactdet.ORACLES.items():
+        if reach is None or len(order) <= reach:
+            assert det(minor) == expected, name
 
 
 def test_degenerate_draws_both_branches():
