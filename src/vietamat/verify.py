@@ -114,10 +114,10 @@ def _index_pair(rng: random.Random, n: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _reorder_columns(matrix: ExactMatrix, order, rows: int | None = None) -> ExactMatrix:
+def _reorder_columns(matrix: ExactMatrix, order) -> ExactMatrix:
     """Column k of the result is column order[k] of `matrix`, denominator
-    and all; given `rows`, only rows 0..rows-1 are kept, a leading minor."""
-    numerators = ([row[c] for c in order] for row in matrix.numerators[:rows])
+    and all, on rows 0..len(order)-1: a leading square minor."""
+    numerators = ([row[c] for c in order] for row in matrix.numerators[: len(order)])
     return ExactMatrix(numerators, [matrix.denominators[c] for c in order])
 
 
@@ -223,7 +223,7 @@ def _closed_form(kind, ns):
         return serialize_nodes(ns)
     if len(ns) == 1:
         return None
-    minor = _reorder_columns(matrix, range(1, len(ns)), len(ns) - 1)
+    minor = _reorder_columns(matrix, range(1, len(ns)))
     return None if _oracles_give(closed(NodeSet(ns[1:])), minor) else serialize_nodes(ns)
 
 
@@ -288,7 +288,7 @@ def _degenerate(inputs):
     first = {a: nodes.index(a) for a in nodes}
     columns = list(zip(*matrix.numerators, matrix.denominators))
     ranked = all(column == columns[first[a]] for column, a in zip(columns, nodes)) and _oracles_give(
-        KINDS["vieta"][1](NodeSet(first)), _reorder_columns(matrix, first.values(), len(first))
+        KINDS["vieta"][1](NodeSet(first)), _reorder_columns(matrix, first.values())
     )
     return None if ranked else serialize_nodes(degenerate)
 

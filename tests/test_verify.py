@@ -309,20 +309,18 @@ def test_laplace_runs_at_exactly_its_reach(monkeypatch):
 @pytest.mark.parametrize("identity", [identity for identity, _ in CLOSED_FORM_IDENTITIES])
 def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
     """Above LAPLACE_MAX the reach keeps Laplace out of every matrix, full
-    build or minor: the real Laplace never sees n > 8, so no
-    SizeGuardError escapes.  Bareiss, which has no reach limit, sees full
-    builds of size 9 or more, so each identity draws n from the requested
-    range, not below it, and a wrong Bareiss fails every trial."""
+    build or minor: the real Laplace raises SizeGuardError above 8, and
+    none escapes.  Bareiss, which has no reach limit, sees a full build of
+    size 9 or more in every trial, so each identity draws n from the
+    requested range, not below it, and a wrong Bareiss fails every trial."""
     cfg = VerifyConfig(9, 10)
-    laplace_sizes, bareiss_sizes = [], []
-    monkeypatch.setitem(
-        exactdet.ORACLES, "laplace", (_recording(exactdet.det_laplace, laplace_sizes), exactdet.LAPLACE_MAX)
-    )
+    bareiss_sizes = []
     monkeypatch.setitem(exactdet.ORACLES, "bareiss", (_recording(exactdet.det_bareiss, bareiss_sizes), None))
-    report = run_identity(identity, 20, 0, cfg)
-    assert report.failures == 0, report.first_counterexample
-    assert max(laplace_sizes, default=0) <= exactdet.LAPLACE_MAX
-    assert max(bareiss_sizes) >= 9
+    draw, holds = IDENTITIES[identity]
+    for t in range(20):
+        bareiss_sizes.clear()
+        assert holds(draw(trial_rng(0, identity, t), cfg)) is None, t
+        assert max(bareiss_sizes) >= 9, t
     monkeypatch.setitem(exactdet.ORACLES, "bareiss", (_plus_one(exactdet.det_bareiss), None))
     report = run_identity(identity, 20, 0, cfg)
     assert report.failures == report.trials == 20
@@ -483,7 +481,7 @@ def test_leading_minors_give_the_closed_form_of_their_columns(kind, nodes, data)
     ns = NodeSet(nodes)
     order = data.draw(st.permutations(range(len(ns))))[: data.draw(st.integers(1, len(ns)))]
     build, closed = calculus.KINDS[kind]
-    minor = verify._reorder_columns(build(ns, Fraction(0)), order, len(order))
+    minor = verify._reorder_columns(build(ns, Fraction(0)), order)
     expected = closed(NodeSet(ns[c] for c in order))
     for name, (det, reach) in exactdet.ORACLES.items():
         if reach is None or len(order) <= reach:
