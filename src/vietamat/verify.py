@@ -17,8 +17,9 @@ every oracle, so they cap n at the smallest finite reach in `ORACLES`
 (Laplace's 8 today), read each time they run.  Elsewhere every oracle
 checks every matrix within its reach, full build or minor alike.
 theorem1 and sign_bridge draw the same way and share one `holds`, bound
-to the kinds "vieta" and "vandermonde" of `KINDS`.  Tests feed their
-own inputs to `holds`.
+to the kinds "vieta" and "vandermonde" of `KINDS`; it and degenerate
+check lists of columns with one leading-minor law, `_minors_give`.
+Tests feed their own inputs to `holds`.
 """
 
 import collections
@@ -156,6 +157,15 @@ def _kind_gives(kind, nodes, value, at=Fraction(0)):
     return matrix if closed(nodes) == value and _oracles_give(value, matrix) else None
 
 
+def _minors_give(kind, ns, matrix, column_sets):
+    """For each nonempty column list C, every oracle within its reach gives
+    the closed form of `KINDS[kind]` on the nodes in C on the minor of rows
+    0..len(C)-1 and columns C.  As vieta = T(e) S P, T(e) S unit lower
+    triangular, this holds on the vieta, power and Jacobian builds at 0."""
+    closed = KINDS[kind][1]
+    return all(_oracles_give(closed(NodeSet(ns[c] for c in C)), _reorder_columns(matrix, C)) for C in column_sets if C)
+
+
 def _smallest_reach() -> int | None:
     """The smallest finite reach in `ORACLES`, or None when no oracle has
     one: the largest n at which every oracle runs."""
@@ -210,21 +220,14 @@ def _draw_roundtrip(rng, cfg):
 
 
 def _closed_form(kind, ns):
-    """Every oracle within its reach gives the closed form of `KINDS[kind]`
-    on its matrix at the default point 0.  For "vieta" this is theorem 1;
-    for "vandermonde", (-1)^{n(n-1)/2} times it, the sign between the two
-    product orientations.  For n >= 2 every oracle within the minor's
-    reach also gives, on the minor without the last row and column 0, the
-    closed form on the nodes without node 0; a build fault that keeps
-    det, such as column 0 added to column 1, changes that minor."""
-    closed = KINDS[kind][1]
-    matrix = _kind_gives(kind, ns, closed(ns))
-    if matrix is None:
-        return serialize_nodes(ns)
-    if len(ns) == 1:
-        return None
-    minor = _reorder_columns(matrix, range(1, len(ns)))
-    return None if _oracles_give(closed(NodeSet(ns[1:])), minor) else serialize_nodes(ns)
+    """The leading-minor law on the build of `KINDS[kind]` at 0, on all n
+    columns: theorem 1 for "vieta", and (-1)^{n(n-1)/2} times it for
+    "vandermonde".  Columns 1..n-1, every other column, and columns 0 and 1
+    (a set: equal ranges run once) see these faults that keep det: column
+    0 added to column 1, and column or row 1 doubled with 2 halved."""
+    n, matrix = len(ns), KINDS[kind][0](ns, Fraction(0))
+    holds = _minors_give(kind, ns, matrix, {range(n), range(1, n), range(0, n, 2), range(min(n, 2))})
+    return None if holds else serialize_nodes(ns)
 
 
 def _corollary1(inputs):
@@ -265,9 +268,7 @@ def _degenerate(inputs):
 
     The rank law, on the build of the degenerate nodes: every later copy
     of a node stores its first copy's column, ints and denominator, and
-    with F the first-appearance columns and s = len(F), every oracle
-    within the minor's reach gives the closed form of the s distinct
-    values on the minor of rows 0..s-1 and columns F."""
+    the leading-minor law holds on the first-appearance columns."""
     ns, (i, j), repeat = inputs
     nodes = list(ns)
     if repeat:
@@ -287,9 +288,8 @@ def _degenerate(inputs):
         return serialize_nodes(ns)
     first = {a: nodes.index(a) for a in nodes}
     columns = list(zip(*matrix.numerators, matrix.denominators))
-    ranked = all(column == columns[first[a]] for column, a in zip(columns, nodes)) and _oracles_give(
-        KINDS["vieta"][1](NodeSet(first)), _reorder_columns(matrix, first.values())
-    )
+    ranked = all(column == columns[first[a]] for column, a in zip(columns, nodes))
+    ranked = ranked and _minors_give("vieta", degenerate, matrix, [list(first.values())])
     return None if ranked else serialize_nodes(degenerate)
 
 

@@ -80,7 +80,7 @@ MUTANTS = (
         "closed(nodes) == value and _oracles_give(value, matrix)",
         "closed(nodes) == value",
         (
-            "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[theorem1]",
+            "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[corollary1]",
             "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[extension]",
             "tests/test_verify.py::test_every_identity_reads_its_oracles_from_the_table[wronskian]",
             "tests/test_verify.py::test_closed_form_identities_run_laplace",
@@ -96,14 +96,26 @@ MUTANTS = (
     Mutant(
         "minor-at-the-last-column",
         "verify.py",
-        "_reorder_columns(matrix, range(1, len(ns)))\n"
-        "    return None if _oracles_give(closed(NodeSet(ns[1:]))",
-        "_reorder_columns(matrix, range(len(ns) - 1))\n"
-        "    return None if _oracles_give(closed(NodeSet(ns[:-1]))",
+        "range(1, n)",
+        "range(n - 1)",
         (
             "tests/test_verify.py::test_each_law_sees_a_planted_fault[theorem1]",
             "tests/test_verify.py::test_each_law_sees_a_planted_fault[sign_bridge]",
         ),
+    ),
+    Mutant(
+        "minors-no-every-other-column",
+        "verify.py",
+        "range(0, n, 2), ",
+        "",
+        ("tests/test_verify.py::test_leading_minors_see_a_rescaled_build[columns-2-3]",),
+    ),
+    Mutant(
+        "minors-no-columns-0-and-1",
+        "verify.py",
+        ", range(min(n, 2))",
+        "",
+        ("tests/test_verify.py::test_leading_minors_see_a_rescaled_build[rows-1-2-at-9]",),
     ),
     Mutant(
         "corollary1-no-check",

@@ -326,21 +326,30 @@ def test_oracles_beyond_their_reach_are_skipped(monkeypatch, identity):
     assert report.failures == report.trials == 20
 
 
-# identities whose trials at n = 9 hand the oracles an 8x8 minor
+# identities whose trials at n = 9 hand the oracles a minor of 8x8 or smaller
 MINOR_IDENTITIES = {"theorem1", "sign_bridge", "degenerate"}
 
 
 @pytest.mark.parametrize("identity", [identity for identity, _ in CLOSED_FORM_IDENTITIES])
 def test_minors_within_reach_run_laplace_at_n_9(monkeypatch, identity):
     """The reach is read from the size of the matrix each oracle is
-    handed, not from the trial's n: at n = 9 the (n - 1, 0) minor of
-    theorem1 and sign_bridge and degenerate's rank-law minor are 8x8 or
-    smaller, so a wrong Laplace fails every one of their trials, while
-    the identities that hand the oracles only full builds of 9 or more
-    never run it."""
+    handed, not from the trial's n: at n = 9 every minor of theorem1 and
+    sign_bridge and degenerate's rank-law minor are 8x8 or smaller, so a
+    wrong Laplace fails every one of their trials, while the identities
+    that hand the oracles only full builds of 9 or more never run it."""
     monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
     report = run_identity(identity, 20, 0, VerifyConfig(9, 9))
     assert report.failures == (20 if identity in MINOR_IDENTITIES else 0), report.first_counterexample
+
+
+@pytest.mark.parametrize("identity", ["theorem1", "sign_bridge"])
+def test_leading_minors_run_laplace_at_n_10(monkeypatch, identity):
+    """At n = 10 the (n - 1, 0) minor is 9x9, past Laplace's reach, but
+    the every-other-column minor is 5x5 and the one on columns 0 and 1
+    2x2, so a wrong Laplace still fails every trial."""
+    monkeypatch.setitem(exactdet.ORACLES, "laplace", (_plus_one(exactdet.det_laplace), exactdet.LAPLACE_MAX))
+    report = run_identity(identity, 20, 0, VerifyConfig(10, 10))
+    assert report.failures == report.trials == 20
 
 
 @pytest.mark.parametrize("identity", ["oracle_agreement", "multilinearity"])
@@ -390,6 +399,32 @@ def _column_0_into_column_1(build):
         )
 
     return planted
+
+
+def _columns_rescaled(k):
+    """The vieta build with column k doubled and column k + 1 halved, for
+    n >= k + 2, which keeps det and the (n - 1, 0) minor."""
+
+    def planted(ns, at):
+        m = structmat.build_vieta(ns)
+        if len(ns) < k + 2:
+            return m
+        d = m.denominators
+        numerators = (row[:k] + (2 * row[k],) + row[k + 1 :] for row in m.numerators)
+        return structmat.ExactMatrix(numerators, d[: k + 1] + (2 * d[k + 1],) + d[k + 2 :])
+
+    return planted
+
+
+def _rows_1_and_2_rescaled(ns, at):
+    """The power build with row 1 doubled and row 2 halved, for n >= 4,
+    which keeps det and the (n - 1, 0) minor."""
+    m = structmat.build_vandermonde(ns)
+    if len(ns) < 4:
+        return m
+    scales = (2, 4, 1) + (2,) * (len(ns) - 3)
+    numerators = ([s * e for e in row] for s, row in zip(scales, m.numerators))
+    return structmat.ExactMatrix(numerators, [2 * d for d in m.denominators])
 
 
 def _rotated_basis(ns):
@@ -459,6 +494,27 @@ def test_each_law_sees_a_planted_fault(monkeypatch, identity):
     assert run_identity(identity, 30, 0, VerifyConfig(3, 6, 50)).failures > 0
 
 
+# (identity, kind, plant, n range): each plant keeps det and the (n - 1, 0)
+# minor, so only a smaller leading minor sees it
+RESCALED_PLANTS = {
+    "columns-1-2": ("theorem1", "vieta", _columns_rescaled(1), VerifyConfig(3, 6)),
+    "columns-2-3": ("theorem1", "vieta", _columns_rescaled(2), VerifyConfig(3, 6)),
+    "rows-1-2": ("sign_bridge", "vandermonde", _rows_1_and_2_rescaled, VerifyConfig(3, 6)),
+    "rows-1-2-at-9": ("sign_bridge", "vandermonde", _rows_1_and_2_rescaled, VerifyConfig(9, 10)),
+}
+
+
+@pytest.mark.parametrize("case", list(RESCALED_PLANTS))
+def test_leading_minors_see_a_rescaled_build(monkeypatch, case):
+    """The every-other-column minor holds column 2 without column 1, and
+    so sees the column 1 and 2 plant (as columns 0 and 1 do); it alone
+    sees the column 2 and 3 plant.  The minor on columns 0 and 1 holds row
+    1 without row 2 at every n, and alone sees the row plant at n >= 5."""
+    identity, kind, plant, cfg = RESCALED_PLANTS[case]
+    monkeypatch.setitem(calculus.KINDS, kind, (plant, calculus.KINDS[kind][1]))
+    assert run_identity(identity, 30, 0, cfg).failures > 0
+
+
 # Half the draws come from a small pool, so repeated and zero nodes are common.
 pooled_nodes = st.lists(
     st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]), st.fractions(-50, 50, max_denominator=50)),
@@ -476,8 +532,10 @@ def test_leading_minors_give_the_closed_form_of_their_columns(kind, nodes, data)
     power build.  So on rows 0..s-1 and any s columns C, in any order,
     every oracle within reach gives the kind's closed form on the nodes in
     C, repeated nodes included; the jacobian is vieta entry for entry.
-    verify's (n - 1, 0) minor and degenerate's rank-law minor are two
-    cases; s = 2 sees a fault in row 1 alone."""
+    verify checks this law with `_minors_give`: theorem1 and sign_bridge
+    on all columns, columns 1..n-1, every other column and columns 0 and
+    1, degenerate on its first-appearance columns.  s = 2 sees a fault in
+    row 1 alone."""
     ns = NodeSet(nodes)
     order = data.draw(st.permutations(range(len(ns))))[: data.draw(st.integers(1, len(ns)))]
     build, closed = calculus.KINDS[kind]

@@ -12,8 +12,8 @@ spent BUDGET_NS):
     parse    parse_nodes_text of the inline text
     build    KINDS[kind][0](nodes, at)
     closed   KINDS[kind][1](nodes)
-    bareiss  det_bareiss of the build, for n <= BAREISS_MAX
-    laplace  det_laplace of the build, for n <= exactdet.LAPLACE_MAX
+    bareiss  the oracles of exactdet.ORACLES, in table order, on the
+    laplace  build, each for n up to its reach (BAREISS_MAX for None)
     json     matrix_to_json of the build
     render   render_rational of the closed value
     hash     bench.result_hash of the closed value
@@ -51,15 +51,14 @@ sys.path.insert(0, str(SRC))
 from vietamat import rational, structmat  # noqa: E402
 from vietamat.bench import bench_node_set, result_hash  # noqa: E402
 from vietamat.calculus import KINDS  # noqa: E402
-from vietamat.exactdet import LAPLACE_MAX, det_bareiss, det_laplace  # noqa: E402
+from vietamat.exactdet import ORACLES  # noqa: E402
 from vietamat.matio import matrix_to_json, parse_nodes_text  # noqa: E402
 from vietamat.rational import render_rational  # noqa: E402
 
 AT = Fraction(-12345, 6789)
 REPEATS = 5
 BUDGET_NS = 10**9
-BAREISS_MAX = 64  # Bareiss on the rational Vandermonde takes about 25 s at n = 64
-REACH = {"bareiss": BAREISS_MAX, "laplace": LAPLACE_MAX}  # the largest n each oracle stage runs at
+BAREISS_MAX = 64  # caps an oracle of reach None: Bareiss on the rational Vandermonde takes about 25 s at n = 64
 COMMANDS = {
     "det": ["-m", "vietamat", "det", "vieta", "--nodes", "1,2,3"],
     "verify": ["-m", "vietamat", "verify", "--seed", "42"],
@@ -114,16 +113,18 @@ def kind_stages(kind: str, n: int) -> tuple[dict, dict]:
         ("parse", None, lambda _: parse_nodes_text(text)),
         ("build", "parse", lambda ns: build(ns, AT)),
         ("closed", "parse", closed),
-        ("bareiss", "build", det_bareiss),
-        ("laplace", "build", det_laplace),
+        *(
+            (name, "build", det)
+            for name, (det, reach) in ORACLES.items()
+            if n <= (BAREISS_MAX if reach is None else reach)
+        ),
         ("json", "build", matrix_to_json),
         ("render", "closed", render_rational),
         ("hash", "closed", result_hash),
     ]
     values, record = {None: None}, {}
     for stage, source, fn in steps:
-        if n <= REACH.get(stage, n):
-            values[stage], record[stage] = best_of(lambda: fn(values[source]))
+        values[stage], record[stage] = best_of(lambda: fn(values[source]))
     counters = {
         "closed_gcd_max_bits": gcd_calls(structmat, lambda: closed(values["parse"]))[1],
         "json_gcd_calls": gcd_calls(rational, lambda: matrix_to_json(values["build"]))[0],
@@ -174,7 +175,7 @@ def measure(args) -> dict:
             "repeats": REPEATS,
             "budget_s": BUDGET_NS / 1e9,
             "bareiss_max": BAREISS_MAX,
-            "laplace_max": LAPLACE_MAX,
+            "laplace_max": ORACLES["laplace"][1],
         },
         "stages": stages,
         "counters": counters,
